@@ -8,7 +8,6 @@
 #include "util/bitvector.h"
 #include "util/ewah_bitmap.h"
 #include "util/random.h"
-#include "util/rle_bitmap.h"
 
 namespace ebi {
 namespace {
@@ -56,27 +55,6 @@ void BM_BitVectorCount(benchmark::State& state) {
 }
 BENCHMARK(BM_BitVectorCount)->Range(1 << 10, 1 << 22);
 
-void BM_RleCompressSparse(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const BitVector a = RandomBits(n, 0.01, 6);
-  for (auto _ : state) {
-    RleBitmap rle = RleBitmap::Compress(a);
-    benchmark::DoNotOptimize(rle);
-  }
-}
-BENCHMARK(BM_RleCompressSparse)->Range(1 << 12, 1 << 20);
-
-void BM_RleAndSparse(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const RleBitmap a = RleBitmap::Compress(RandomBits(n, 0.01, 7));
-  const RleBitmap b = RleBitmap::Compress(RandomBits(n, 0.01, 8));
-  for (auto _ : state) {
-    RleBitmap out = RleBitmap::And(a, b);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_RleAndSparse)->Range(1 << 12, 1 << 20);
-
 void BM_EwahCompressSparse(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const BitVector a = RandomBits(n, 0.01, 9);
@@ -99,9 +77,8 @@ void BM_EwahAndSparse(benchmark::State& state) {
 BENCHMARK(BM_EwahAndSparse)->Range(1 << 12, 1 << 20);
 
 void BM_EwahOrDense(benchmark::State& state) {
-  // Half-dense inputs: literal-dominated buffers, the EWAH worst case —
-  // word-aligned merging should still track the plain OR within a small
-  // constant, unlike run-splitting RLE.
+  // Half-dense inputs: literal-dominated buffers, the EWAH worst case
+  // (bench/sparsity prints its throughput ratio to the plain OR).
   const size_t n = static_cast<size_t>(state.range(0));
   const EwahBitmap a = EwahBitmap::Compress(RandomBits(n, 0.5, 12));
   const EwahBitmap b = EwahBitmap::Compress(RandomBits(n, 0.5, 13));

@@ -1,7 +1,7 @@
 // Reproduces the Section 3.1 sparsity analysis: simple bitmap vectors are
 // (m-1)/m zeros while encoded slices sit near 1/2 independent of m; also
-// shows what compression buys each of them, and compares the physical
-// bitmap formats (plain / RLE / EWAH) head-to-head on size and AND/OR
+// shows what EWAH compression buys each of them, and compares the
+// physical bitmap formats (plain / EWAH) head-to-head on size and AND/OR
 // throughput across sparsity levels.
 
 #include <cstdio>
@@ -13,7 +13,6 @@
 #include "index/simple_bitmap_index.h"
 #include "util/ewah_bitmap.h"
 #include "util/random.h"
-#include "util/rle_bitmap.h"
 
 namespace ebi {
 namespace {
@@ -23,7 +22,7 @@ double AverageSliceDensity(const EncodedBitmapIndex& index) {
     return 0.0;
   }
   double total = 0.0;
-  for (const BitVector& slice : index.slices()) {
+  for (const StoredBitmap& slice : index.slices()) {
     total += 1.0 - slice.Sparsity();
   }
   return total / static_cast<double>(index.slices().size());
@@ -32,15 +31,15 @@ double AverageSliceDensity(const EncodedBitmapIndex& index) {
 void RunSparsityVsCardinality(bench::BenchReport* report) {
   const size_t n = 20000;
   std::printf("=== Section 3.1: sparsity vs cardinality (n = %zu) ===\n", n);
-  std::printf("%-8s %-14s %-14s %-14s %-16s %-16s\n", "m", "model (m-1)/m",
-              "simple_meas", "encoded_meas", "rle_ratio_simple",
-              "rle_ratio_enc");
+  std::printf("%-8s %-14s %-14s %-14s %-18s %-16s\n", "m", "model (m-1)/m",
+              "simple_meas", "encoded_meas", "ewah_ratio_simple",
+              "ewah_ratio_enc");
   for (size_t m : std::vector<size_t>{2, 8, 32, 128, 512, 2048}) {
     auto table = bench::RoundRobinTable(n, m);
     IoAccountant io;
     SimpleBitmapIndex simple(
         &table->column(0), &table->existence(), &io,
-        SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kRle));
+        SimpleBitmapIndexOptions::WithFormat(BitmapFormat::kEwah));
     SimpleBitmapIndex plain(&table->column(0), &table->existence(), &io);
     EncodedBitmapIndexOptions eopts;
     eopts.reserve_void_zero = false;
@@ -52,26 +51,26 @@ void RunSparsityVsCardinality(bench::BenchReport* report) {
       continue;
     }
     // Compression ratio of the compressed simple index vs its plain twin,
-    // and of RLE-compressing each encoded slice.
-    const double rle_simple = static_cast<double>(plain.SizeBytes()) /
-                              static_cast<double>(simple.SizeBytes());
+    // and of EWAH-compressing each encoded slice.
+    const double ewah_simple = static_cast<double>(plain.SizeBytes()) /
+                               static_cast<double>(simple.SizeBytes());
     size_t enc_plain = 0;
-    size_t enc_rle = 0;
-    for (const BitVector& slice : encoded.slices()) {
+    size_t enc_ewah = 0;
+    for (const StoredBitmap& slice : encoded.slices()) {
       enc_plain += slice.SizeBytes();
-      enc_rle += RleBitmap::Compress(slice).SizeBytes();
+      enc_ewah += EwahBitmap::Compress(*slice.AsPlain()).SizeBytes();
     }
-    const double rle_enc =
-        static_cast<double>(enc_plain) / static_cast<double>(enc_rle);
-    std::printf("%-8zu %-14.4f %-14.4f %-14.4f %-16.2f %-16.2f\n", m,
+    const double ewah_enc =
+        static_cast<double>(enc_plain) / static_cast<double>(enc_ewah);
+    std::printf("%-8zu %-14.4f %-14.4f %-14.4f %-18.2f %-16.2f\n", m,
                 SimpleSparsity(m), plain.AverageSparsity(),
-                1.0 - AverageSliceDensity(encoded), rle_simple, rle_enc);
+                1.0 - AverageSliceDensity(encoded), ewah_simple, ewah_enc);
     report->BeginRun("m=" + std::to_string(m));
     report->Metric("sparsity_model", SimpleSparsity(m));
     report->Metric("sparsity_simple", plain.AverageSparsity());
     report->Metric("sparsity_encoded", 1.0 - AverageSliceDensity(encoded));
-    report->Metric("rle_ratio_simple", rle_simple);
-    report->Metric("rle_ratio_encoded", rle_enc);
+    report->Metric("ewah_ratio_simple", ewah_simple);
+    report->Metric("ewah_ratio_encoded", ewah_enc);
   }
   std::printf(
       "(Sparse simple vectors compress well; ~50%%-dense encoded slices do\n"
@@ -110,11 +109,15 @@ void RunFormatComparison(bench::BenchReport* report) {
               "bytes", "ratio", "and_ops/ms", "or_ops/ms");
   Rng rng(42);
   size_t sink = 0;
+  struct Speed {
+    double density;
+    double and_ratio;
+    double or_ratio;
+  };
+  std::vector<Speed> speed;
   for (double density : std::vector<double>{0.0005, 0.01, 0.2, 0.5}) {
     const BitVector a = RandomBits(n, density, &rng);
     const BitVector b = RandomBits(n, density, &rng);
-    const RleBitmap ra = RleBitmap::Compress(a);
-    const RleBitmap rb = RleBitmap::Compress(b);
     const EwahBitmap ea = EwahBitmap::Compress(a);
     const EwahBitmap eb = EwahBitmap::Compress(b);
 
@@ -135,16 +138,6 @@ void RunFormatComparison(bench::BenchReport* report) {
     };
     record("plain", a.SizeBytes(), plain_and, plain_or);
 
-    const double rle_and = TimeOps(
-        reps, &sink, [&] { return RleBitmap::And(ra, rb).Count() & 1u; });
-    const double rle_or = TimeOps(
-        reps, &sink, [&] { return RleBitmap::Or(ra, rb).Count() & 1u; });
-    std::printf("%-10.4f %-8s %12zu %10.2f %14.1f %14.1f\n", density, "rle",
-                ra.SizeBytes(),
-                plain_bytes / static_cast<double>(ra.SizeBytes()), rle_and,
-                rle_or);
-    record("rle", ra.SizeBytes(), rle_and, rle_or);
-
     const double ewah_and = TimeOps(
         reps, &sink, [&] { return EwahBitmap::And(ea, eb).Count() & 1u; });
     const double ewah_or = TimeOps(
@@ -154,12 +147,13 @@ void RunFormatComparison(bench::BenchReport* report) {
                 plain_bytes / static_cast<double>(ea.SizeBytes()), ewah_and,
                 ewah_or);
     record("ewah", ea.SizeBytes(), ewah_and, ewah_or);
+    speed.push_back({density, ewah_and / plain_and, ewah_or / plain_or});
   }
-  std::printf(
-      "(sink=%zu) Word-aligned EWAH keeps plain-like AND/OR speed while\n"
-      "matching RLE's footprint on sparse inputs; near 50%% density both\n"
-      "compressed forms converge to the plain size.\n",
-      sink & 1u);
+  std::printf("\nMeasured EWAH/plain throughput (sink=%zu):\n", sink & 1u);
+  for (const Speed& row : speed) {
+    std::printf("  density %-8.4f AND %5.2fx  OR %5.2fx\n", row.density,
+                row.and_ratio, row.or_ratio);
+  }
 }
 
 void Run() {

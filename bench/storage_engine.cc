@@ -35,8 +35,8 @@ BitVector RandomBits(size_t n, uint64_t seed) {
 }
 
 /// One "scan": obtain each slice from the store as an owned
-/// StoredBitmap (exactly what BitmapStore::Get hands out on its
-/// in-memory path — a copy), materialize it, and OR it into an
+/// StoredBitmap (a copy, as a store's in-memory path hands it out),
+/// materialize it, and OR it into an
 /// accumulator. The engine path below does the identical per-slice
 /// work through GetSlice, so the latency ratio isolates the engine's
 /// overhead: page lookups plus one payload assembly + decode in place
@@ -90,7 +90,7 @@ void Run() {
     slices.push_back(RandomBits(kBits, i + 1));
   }
   // The in-memory store under comparison: the same slices held as
-  // StoredBitmaps, as BitmapStore keeps them.
+  // StoredBitmaps, as resident encoded slices are kept.
   std::vector<StoredBitmap> store;
   store.reserve(kSlices);
   for (const BitVector& s : slices) {

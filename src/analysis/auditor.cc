@@ -8,10 +8,8 @@
 
 #include "boolean/cube.h"
 #include "encoding/well_defined.h"
-#include "index/cold_encoded_bitmap_index.h"
 #include "index/persistence.h"
 #include "util/ewah_bitmap.h"
-#include "util/rle_bitmap.h"
 
 namespace ebi {
 
@@ -41,8 +39,6 @@ const char* ViolationKindName(ViolationKind kind) {
       return "BitmapLengthMismatch";
     case ViolationKind::kBitmapTailDirty:
       return "BitmapTailDirty";
-    case ViolationKind::kRleRunSumMismatch:
-      return "RleRunSumMismatch";
     case ViolationKind::kEwahFormatMismatch:
       return "EwahFormatMismatch";
     case ViolationKind::kPersistedBitmapCorrupt:
@@ -266,25 +262,6 @@ AuditReport InvariantAuditor::AuditBitVectorWords(
   return report;
 }
 
-AuditReport InvariantAuditor::AuditRleRuns(const std::vector<uint32_t>& runs,
-                                           size_t declared_bits,
-                                           size_t ordinal) {
-  AuditReport report;
-  ++report.checks_run;
-  size_t sum = 0;
-  for (uint32_t run : runs) {
-    sum += run;
-  }
-  if (sum != declared_bits) {
-    report.violations.push_back(
-        {ViolationKind::kRleRunSumMismatch, ordinal,
-         VectorLabel("rle vector", ordinal) + " runs sum to " +
-             std::to_string(sum) + ", declared size is " +
-             std::to_string(declared_bits)});
-  }
-  return report;
-}
-
 AuditReport InvariantAuditor::AuditEwahWords(
     const std::vector<uint64_t>& words, size_t declared_bits,
     size_t ordinal) {
@@ -315,8 +292,6 @@ AuditReport InvariantAuditor::AuditStoredBitmap(const StoredBitmap& bitmap,
   }
   if (const BitVector* plain = bitmap.AsPlain()) {
     report.Merge(AuditBitVector(*plain, expected_bits, ordinal));
-  } else if (const RleBitmap* rle = bitmap.AsRle()) {
-    report.Merge(AuditRleRuns(rle->runs(), rle->size(), ordinal));
   } else if (const EwahBitmap* ewah = bitmap.AsEwah()) {
     report.Merge(AuditEwahWords(ewah->words(), ewah->size(), ordinal));
   }
@@ -342,6 +317,12 @@ AuditReport InvariantAuditor::AuditIndex(SecondaryIndex& index,
                                          size_t expected_rows) {
   AuditReport report;
   index.ForEachAuditVector([&](const AuditableVector& v) {
+    if (v.plain == nullptr && v.stored == nullptr) {
+      ++report.checks_run;
+      report.violations.push_back(
+          {ViolationKind::kPersistedBitmapCorrupt, v.ordinal,
+           VectorLabel(v.role, v.ordinal) + " failed to load"});
+    }
     if (v.plain != nullptr) {
       report.Merge(AuditBitVector(*v.plain, expected_rows, v.ordinal));
     }
@@ -351,23 +332,6 @@ AuditReport InvariantAuditor::AuditIndex(SecondaryIndex& index,
   });
   if (const MappingTable* mapping = index.audit_mapping()) {
     report.Merge(AuditMapping(*mapping));
-  }
-  // Cold indexes keep their slices in the backing store; fetch each one
-  // back through the pool (validating the compressed form on the way in)
-  // and hold it to the same length contract.
-  if (auto* cold = dynamic_cast<ColdEncodedBitmapIndex*>(&index)) {
-    for (size_t i = 0; i < cold->NumSlices(); ++i) {
-      ++report.checks_run;
-      Result<BitVector> slice = cold->FetchSlice(i);
-      if (!slice.ok()) {
-        report.violations.push_back(
-            {ViolationKind::kPersistedBitmapCorrupt, i,
-             VectorLabel("cold slice", i) +
-                 " failed to load: " + slice.status().ToString()});
-        continue;
-      }
-      report.Merge(AuditBitVector(slice.value(), expected_rows, i));
-    }
   }
   return report;
 }

@@ -27,8 +27,8 @@ namespace ebi {
 ///   * kRetrievalFunctionMismatch — Definition 2.1's retrieval function
 ///     f_v must be exactly the min-term of v's codeword;
 ///   * kSelectionNotWellDefined — Definition 2.5 / Theorems 2.2-2.3;
-///   * the bitmap kinds — every vector spans the table, RLE runs sum to
-///     the declared size, EWAH words decode to the declared word count,
+///   * the bitmap kinds — every vector spans the table, EWAH words
+///     decode to the declared word count,
 ///     and (kBitmapTailDirty) no padding bit above size() is set — the
 ///     tail invariant Count()/IsZero() rely on to skip masking;
 ///   * kShardPartitionMismatch — a ShardedIndex's segments must tile the
@@ -45,7 +45,6 @@ enum class ViolationKind : uint8_t {
   kSelectionNotWellDefined,
   kBitmapLengthMismatch,
   kBitmapTailDirty,
-  kRleRunSumMismatch,
   kEwahFormatMismatch,
   kPersistedBitmapCorrupt,
   kShardPartitionMismatch,
@@ -87,8 +86,8 @@ struct AuditReport {
 ///
 /// The high-level entry points (AuditIndex, AuditShardedIndex,
 /// AuditMapping) walk real structures through the SecondaryIndex audit
-/// hooks; the raw-part overloads (AuditMappingParts, AuditRleRuns,
-/// AuditEwahWords, AuditPersistedBitmap) exist so tests can seed known-bad
+/// hooks; the raw-part overloads (AuditMappingParts, AuditEwahWords,
+/// AuditPersistedBitmap) exist so tests can seed known-bad
 /// inputs that the constructing APIs themselves reject.
 class InvariantAuditor {
  public:
@@ -127,14 +126,10 @@ class InvariantAuditor {
                                          size_t ordinal = 0);
 
   /// Length + compressed-form contracts of a stored bitmap in any
-  /// physical format (plain / RLE run-sum / EWAH marker decode).
+  /// physical format (plain tail / EWAH marker decode).
   static AuditReport AuditStoredBitmap(const StoredBitmap& bitmap,
                                        size_t expected_bits,
                                        size_t ordinal = 0);
-
-  /// Raw RLE contract: alternating runs must sum to `declared_bits`.
-  static AuditReport AuditRleRuns(const std::vector<uint32_t>& runs,
-                                  size_t declared_bits, size_t ordinal = 0);
 
   /// Raw EWAH contract: `words` must decode to exactly
   /// ceil(declared_bits / 64) words (EwahBitmap::FromWords).
@@ -150,10 +145,10 @@ class InvariantAuditor {
                                           size_t expected_bits);
 
   /// Audits one index against the table it is bound to: every vector the
-  /// audit hooks surface (length + compressed form), the mapping table if
-  /// the family has one, and — for cold indexes — every slice fetched
-  /// back from the backing store. `expected_rows` is the table's row
-  /// count. Non-const because cold-store fetches go through the LRU pool.
+  /// audit hooks surface (length + compressed form; engine-resident
+  /// slices are read back through the buffer pool, and one that fails to
+  /// load reports kPersistedBitmapCorrupt) and the mapping table if the
+  /// family has one. `expected_rows` is the table's row count.
   static AuditReport AuditIndex(SecondaryIndex& index, size_t expected_rows);
 
   /// Audits a ShardedIndex: each shard as a full index against its own

@@ -48,7 +48,8 @@ std::string CoverToString(const Cover& cover, int k) {
 }
 
 BitVector EvaluateCover(const Cover& cover,
-                        const std::vector<BitVector>& slices, size_t n) {
+                        const std::vector<const BitVector*>& slices,
+                        size_t n) {
   BitVector result(n, false);
   // Evaluate each cube to a term, then OR all terms in one fused pass
   // instead of a chain of binary ORs. Cubes that are a single positive
@@ -65,8 +66,9 @@ BitVector EvaluateCover(const Cover& cover,
     }
     if (std::has_single_bit(cube.mask) && (cube.values & cube.mask) != 0) {
       const size_t i = static_cast<size_t>(std::countr_zero(cube.mask));
-      if (i < slices.size() && slices[i].size() == n) {
-        operands.push_back(&slices[i]);
+      if (i < slices.size() && slices[i] != nullptr &&
+          slices[i]->size() == n) {
+        operands.push_back(slices[i]);
         continue;
       }
     }
@@ -79,15 +81,15 @@ BitVector EvaluateCover(const Cover& cover,
       }
       const bool positive = (cube.values & bit) != 0;
       if (first) {
-        term = slices[i];
+        term = *slices[i];
         if (!positive) {
           term.FlipAll();
         }
         first = false;
       } else if (positive) {
-        term.AndWith(slices[i]);
+        term.AndWith(*slices[i]);
       } else {
-        term.AndNotWith(slices[i]);
+        term.AndNotWith(*slices[i]);
       }
     }
     if (!first) {

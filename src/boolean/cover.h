@@ -33,14 +33,16 @@ bool CoverCovers(const Cover& cover, uint64_t minterm);
 /// Renders like "B1'B0 + B2B0'"; the empty cover renders as "0".
 std::string CoverToString(const Cover& cover, int k);
 
-/// Evaluates the expression over bitmap slices: slice[i] is the bitmap
-/// vector for variable B_i; all slices must have equal length `n`. Returns
+/// Evaluates the expression over bitmap slices: slices[i] points at the
+/// bitmap vector for variable B_i, and may be nullptr when the cover does
+/// not reference B_i; all referenced slices must have length `n`. Returns
 /// the result bitmap (bit j set iff the expression is 1 on tuple j's code).
 ///
 /// Evaluation uses one negation-aware AND chain per cube and ORs cube
 /// results together, exactly the plan a bitmap executor would run.
 BitVector EvaluateCover(const Cover& cover,
-                        const std::vector<BitVector>& slices, size_t n);
+                        const std::vector<const BitVector*>& slices,
+                        size_t n);
 
 /// True iff the two covers denote the same Boolean function over k
 /// variables (exhaustive check; intended for tests and small k).

@@ -31,7 +31,6 @@
 #include "index/base_bit_sliced_index.h"
 #include "index/bit_sliced_index.h"
 #include "index/btree_index.h"
-#include "index/cold_encoded_bitmap_index.h"
 #include "index/dynamic_bitmap_index.h"
 #include "index/encoded_bitmap_index.h"
 #include "index/groupset_index.h"
@@ -57,17 +56,16 @@
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "query/reencode_advisor.h"
-#include "storage/bitmap_store.h"
 #include "storage/catalog.h"
 #include "storage/column.h"
 #include "storage/csv.h"
+#include "storage/engine/storage_engine.h"
 #include "storage/io_accountant.h"
 #include "storage/segmented_table.h"
 #include "storage/table.h"
 #include "util/bit_util.h"
 #include "util/bitvector.h"
 #include "util/random.h"
-#include "util/rle_bitmap.h"
 #include "util/status.h"
 #include "workload/generator.h"
 #include "workload/query_mix.h"

@@ -1,10 +1,13 @@
 #include "index/encoded_bitmap_index.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "encoding/encoders.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/engine/storage_engine.h"
 #include "util/bit_util.h"
 #include "util/random.h"
 
@@ -74,42 +77,114 @@ Status EncodedBitmapIndex::Build() {
     WriteCodeTo(&plain, row, code);
   }
   rows_indexed_ = n;
-  StoreSlices(std::move(plain));
+  EBI_RETURN_IF_ERROR(StoreSlices(std::move(plain)));
   built_ = true;
   return Status::OK();
 }
 
-void EncodedBitmapIndex::StoreSlices(std::vector<BitVector> plain) {
-  if (options_.format == BitmapFormat::kPlain) {
-    slices_ = std::move(plain);
-    stored_slices_.clear();
-    return;
+Result<std::vector<const StoredBitmap*>> EncodedBitmapIndex::FetchSlices(
+    uint64_t vars, std::vector<StoredBitmap>* fetched) const {
+  std::vector<const StoredBitmap*> out;
+  if (options_.engine == nullptr) {
+    out.assign(slices_.size(), nullptr);
+    for (size_t i = 0; i < slices_.size(); ++i) {
+      if ((vars >> i) & 1) {
+        // Compressed formats charge their (smaller) physical size here —
+        // the I/O benefit the format knob exists to measure.
+        io_->ChargeVectorRead(slices_[i].SizeBytes());
+        out[i] = &slices_[i];
+      }
+    }
+    return out;
   }
-  stored_slices_.clear();
-  stored_slices_.reserve(plain.size());
-  for (BitVector& slice : plain) {
-    stored_slices_.push_back(
-        StoredBitmap::Make(std::move(slice), options_.format));
+  out.assign(slice_ids_.size(), nullptr);
+  std::vector<uint32_t> referenced;
+  for (size_t i = 0; i < slice_ids_.size(); ++i) {
+    if ((vars >> i) & 1) {
+      referenced.push_back(slice_ids_[i]);
+    }
   }
-  slices_.clear();
+  if (options_.engine->async_prefetch()) {
+    // Overlap the page faults of every referenced slice with the first
+    // blocking read.
+    options_.engine->PrefetchSlices(referenced);
+  }
+  // Reserved up front: `out` points into `*fetched`, which must not
+  // reallocate.
+  fetched->clear();
+  fetched->reserve(referenced.size());
+  for (size_t i = 0; i < slice_ids_.size(); ++i) {
+    if (((vars >> i) & 1) == 0) {
+      continue;
+    }
+    size_t pages_faulted = 0;
+    EBI_ASSIGN_OR_RETURN(
+        StoredBitmap slice,
+        options_.engine->GetSlice(slice_ids_[i], &pages_faulted));
+    if (pages_faulted > 0) {
+      // The engine charged each faulted page; the fetch itself is one
+      // logical vector read on top. A fully pooled slice is free.
+      io_->ChargeVectorTouch();
+    }
+    fetched->push_back(std::move(slice));
+    out[i] = &fetched->back();
+  }
+  return out;
 }
 
-std::vector<BitVector> EncodedBitmapIndex::MaterializeSlices() const {
-  if (options_.format == BitmapFormat::kPlain) {
-    return slices_;
+Result<std::vector<BitVector>> EncodedBitmapIndex::TakeSlices() {
+  std::vector<StoredBitmap> stored;
+  if (options_.engine == nullptr) {
+    stored = std::move(slices_);
+    slices_.clear();
+  } else {
+    EBI_RETURN_IF_ERROR(FetchSlices(~uint64_t{0}, &stored).status());
   }
   std::vector<BitVector> plain;
-  plain.reserve(stored_slices_.size());
-  for (const StoredBitmap& slice : stored_slices_) {
-    plain.push_back(slice.ToBitVector());
+  plain.reserve(stored.size());
+  for (StoredBitmap& slice : stored) {
+    plain.push_back(std::move(slice).ToBitVector());
+  }
+  if (options_.engine != nullptr || options_.format != BitmapFormat::kPlain) {
+    static obs::Counter* rewrites = obs::MetricsRegistry::Global().GetCounter(
+        obs::kMetricIndexSliceRewrites);
+    rewrites->Increment();
   }
   return plain;
 }
 
-size_t EncodedBitmapIndex::SliceSizeBytes(size_t i) const {
-  return options_.format == BitmapFormat::kPlain
-             ? slices_[i].SizeBytes()
-             : stored_slices_[i].SizeBytes();
+Status EncodedBitmapIndex::StoreSlices(std::vector<BitVector> plain) {
+  if (options_.engine == nullptr) {
+    slices_.clear();
+    slices_.reserve(plain.size());
+    for (BitVector& slice : plain) {
+      slices_.push_back(StoredBitmap::Make(std::move(slice), options_.format));
+    }
+    return Status::OK();
+  }
+  // A narrower re-encoding leaves the surplus extents unreferenced;
+  // engines are rebuilt, not compacted.
+  slice_ids_.resize(std::min(slice_ids_.size(), plain.size()));
+  for (size_t i = 0; i < plain.size(); ++i) {
+    const StoredBitmap slice =
+        StoredBitmap::Make(std::move(plain[i]), options_.format);
+    if (i < slice_ids_.size()) {
+      EBI_RETURN_IF_ERROR(options_.engine->UpdateSlice(slice_ids_[i], slice));
+    } else {
+      EBI_ASSIGN_OR_RETURN(const uint32_t id,
+                           options_.engine->PutSlice(slice));
+      slice_ids_.push_back(id);
+    }
+  }
+  return Status::OK();
+}
+
+size_t EncodedBitmapIndex::SliceBytes(size_t i) const {
+  if (options_.engine == nullptr) {
+    return slices_[i].SizeBytes();
+  }
+  const Result<size_t> bytes = options_.engine->SliceBytes(slice_ids_[i]);
+  return bytes.ok() ? *bytes : 0;
 }
 
 Result<uint64_t> EncodedBitmapIndex::CodeForRow(size_t row) const {
@@ -134,12 +209,6 @@ void EncodedBitmapIndex::WriteCodeTo(std::vector<BitVector>* slices,
   for (size_t i = 0; i < slices->size(); ++i) {
     (*slices)[i].Assign(row, (code >> i) & 1);
   }
-}
-
-void EncodedBitmapIndex::CountSliceRewrite() {
-  static obs::Counter* counter =
-      obs::MetricsRegistry::Global().GetCounter(obs::kMetricIndexSliceRewrites);
-  counter->Increment();
 }
 
 Status EncodedBitmapIndex::Append(size_t row) {
@@ -195,33 +264,21 @@ Status EncodedBitmapIndex::AppendBatch(size_t first_row, size_t count) {
     }
   }
 
-  // Pass 2 — slices, written once for the whole batch. Width growth adds
-  // all-zero vectors B_k (existing rows keep zero high bits, matching the
+  // Pass 2 — slices, rewritten once for the whole batch: one
+  // decompress-modify-recompress cycle per batch in compressed formats,
+  // where per-row appends would pay one each. Width growth adds all-zero
+  // vectors B_k (existing rows keep zero high bits, matching the
   // zero-extension ExpandWidth applied to their codewords).
-  if (options_.format == BitmapFormat::kPlain) {
-    for (int w = width_before; w < mapping_.width(); ++w) {
-      slices_.emplace_back(rows_indexed_);
-    }
-    for (size_t r = 0; r < count; ++r) {
-      for (size_t i = 0; i < slices_.size(); ++i) {
-        slices_[i].PushBack((codes[r] >> i) & 1);
-      }
-    }
-  } else {
-    // One decompress-modify-recompress cycle per batch — the coalesced
-    // alternative to one full rewrite per appended row.
-    std::vector<BitVector> plain = MaterializeSlices();
-    for (int w = width_before; w < mapping_.width(); ++w) {
-      plain.emplace_back(rows_indexed_);
-    }
-    for (size_t r = 0; r < count; ++r) {
-      for (size_t i = 0; i < plain.size(); ++i) {
-        plain[i].PushBack((codes[r] >> i) & 1);
-      }
-    }
-    StoreSlices(std::move(plain));
-    CountSliceRewrite();
+  EBI_ASSIGN_OR_RETURN(std::vector<BitVector> plain, TakeSlices());
+  for (int w = width_before; w < mapping_.width(); ++w) {
+    plain.emplace_back(rows_indexed_);
   }
+  for (size_t r = 0; r < count; ++r) {
+    for (size_t i = 0; i < plain.size(); ++i) {
+      plain[i].PushBack((codes[r] >> i) & 1);
+    }
+  }
+  EBI_RETURN_IF_ERROR(StoreSlices(std::move(plain)));
   rows_indexed_ += count;
   return Status::OK();
 }
@@ -240,13 +297,16 @@ Result<std::unique_ptr<SecondaryIndex>> EncodedBitmapIndex::CloneRebound(
         "clone target holds " + std::to_string(column->size()) +
         " rows, index covers " + std::to_string(rows_indexed_));
   }
+  if (options_.engine != nullptr) {
+    return Status::Unimplemented(
+        "engine-resident encoded indexes have no copy-on-write clone");
+  }
   auto clone = std::make_unique<EncodedBitmapIndex>(column, existence, io,
                                                     options_);
   // The mapping travels with the clone; a rebuild must not re-derive it.
   clone->options_.strategy = EncodingStrategy::kCustom;
   clone->mapping_ = mapping_;
   clone->slices_ = slices_;
-  clone->stored_slices_ = stored_slices_;
   clone->rows_indexed_ = rows_indexed_;
   clone->built_ = true;
   return std::unique_ptr<SecondaryIndex>(std::move(clone));
@@ -260,16 +320,12 @@ Status EncodedBitmapIndex::MarkDeleted(size_t row) {
     return Status::OutOfRange("row out of range");
   }
   if (mapping_.void_code().has_value()) {
-    if (options_.format == BitmapFormat::kPlain) {
-      WriteCodeTo(&slices_, row, *mapping_.void_code());
-    } else {
-      // Decompress-modify-recompress: the in-place update cost compressed
-      // storage pays for maintenance (Section 2.2 discussion).
-      std::vector<BitVector> plain = MaterializeSlices();
-      WriteCodeTo(&plain, row, *mapping_.void_code());
-      StoreSlices(std::move(plain));
-      CountSliceRewrite();
-    }
+    // Compressed or engine-resident slices pay a full rewrite here: the
+    // in-place update cost such storage pays for maintenance (Section
+    // 2.2 discussion). Plain resident slices are moved, not copied.
+    EBI_ASSIGN_OR_RETURN(std::vector<BitVector> plain, TakeSlices());
+    WriteCodeTo(&plain, row, *mapping_.void_code());
+    EBI_RETURN_IF_ERROR(StoreSlices(std::move(plain)));
   }
   // Without a void codeword the existence AND in evaluation masks the row.
   return Status::OK();
@@ -294,30 +350,28 @@ Result<BitVector> EncodedBitmapIndex::EvaluateCoverCharged(
   obs::ScopedSpan span("cover.eval");
   const IoScope scope(io_);
   const uint64_t vars = VariablesOf(cover);
-  const size_t k = SliceCount();
+  std::vector<StoredBitmap> fetched;
+  EBI_ASSIGN_OR_RETURN(const std::vector<const StoredBitmap*> stored,
+                       FetchSlices(vars, &fetched));
+  // Combine through pointers: plain slices are used in place, compressed
+  // ones are decompressed once each, and unreferenced slices are never
+  // touched.
+  std::vector<BitVector> expanded;
+  expanded.reserve(static_cast<size_t>(std::popcount(vars)));
+  std::vector<const BitVector*> operands(stored.size(), nullptr);
   uint64_t vectors_read = 0;
-  for (size_t i = 0; i < k; ++i) {
-    if ((vars >> i) & 1) {
-      // Compressed formats charge their (smaller) physical size here —
-      // the I/O benefit the format knob exists to measure.
-      io_->ChargeVectorRead(SliceSizeBytes(i));
-      ++vectors_read;
+  for (size_t i = 0; i < stored.size(); ++i) {
+    if (stored[i] == nullptr) {
+      continue;
+    }
+    ++vectors_read;
+    operands[i] = stored[i]->AsPlain();
+    if (operands[i] == nullptr) {
+      expanded.push_back(stored[i]->ToBitVector());
+      operands[i] = &expanded.back();
     }
   }
-  BitVector result;
-  if (options_.format == BitmapFormat::kPlain) {
-    result = EvaluateCover(cover, slices_, rows_indexed_);
-  } else {
-    // Decompress only the slices the reduced cover references; the rest
-    // stay untouched (properly sized all-zero placeholders).
-    std::vector<BitVector> touched(k, BitVector(rows_indexed_));
-    for (size_t i = 0; i < k; ++i) {
-      if ((vars >> i) & 1) {
-        touched[i] = stored_slices_[i].ToBitVector();
-      }
-    }
-    result = EvaluateCover(cover, touched, rows_indexed_);
-  }
+  BitVector result = EvaluateCover(cover, operands, rows_indexed_);
   const bool existence_and = !mapping_.void_code().has_value();
   if (existence_and) {
     // No void codeword: deleted rows still carry stale value codes, so the
@@ -331,7 +385,7 @@ Result<BitVector> EncodedBitmapIndex::EvaluateCoverCharged(
     // expression touched (existence_and marks the Theorem 2.1 extra read).
     span.Attr("minterms", cover.size());
     span.Attr("vectors_read", vectors_read);
-    span.Attr("slices_held", k);
+    span.Attr("slices_held", stored.size());
     span.Attr("existence_and", existence_and);
     span.AttrIo(scope.Delta());
   }
@@ -431,12 +485,11 @@ Status EncodedBitmapIndex::Reencode(MappingTable new_mapping) {
     }
     WriteCodeTo(&plain, row, *code);
   }
-  StoreSlices(std::move(plain));
-  return Status::OK();
+  return StoreSlices(std::move(plain));
 }
 
-Status EncodedBitmapIndex::RestoreFromParts(MappingTable mapping,
-                                            std::vector<BitVector> slices) {
+Status EncodedBitmapIndex::RestoreFromParts(
+    MappingTable mapping, std::vector<StoredBitmap> slices) {
   if (slices.size() != static_cast<size_t>(mapping.width())) {
     return Status::InvalidArgument(
         "slice count " + std::to_string(slices.size()) +
@@ -446,30 +499,68 @@ Status EncodedBitmapIndex::RestoreFromParts(MappingTable mapping,
     return Status::FailedPrecondition(
         "restored mapping covers fewer values than the column holds");
   }
-  for (const BitVector& slice : slices) {
+  for (const StoredBitmap& slice : slices) {
     if (slice.size() != column_->size()) {
       return Status::InvalidArgument(
           "slice length " + std::to_string(slice.size()) +
           " != column rows " + std::to_string(column_->size()));
     }
+    if (slice.format() != slices.front().format()) {
+      return Status::InvalidArgument("restored slices mix formats");
+    }
   }
+  if (!slices.empty()) {
+    options_.format = slices.front().format();
+  }
+  std::vector<BitVector> plain;
+  plain.reserve(slices.size());
+  for (StoredBitmap& slice : slices) {
+    plain.push_back(std::move(slice).ToBitVector());
+  }
+  EBI_RETURN_IF_ERROR(StoreSlices(std::move(plain)));
   mapping_ = std::move(mapping);
   rows_indexed_ = column_->size();
-  StoreSlices(std::move(slices));
   options_.strategy = EncodingStrategy::kCustom;
   built_ = true;
   return Status::OK();
 }
 
+void EncodedBitmapIndex::ForEachAuditVector(
+    const std::function<void(const AuditableVector&)>& fn) const {
+  for (size_t i = 0; i < NumVectors(); ++i) {
+    std::vector<StoredBitmap> fetched;
+    const Result<std::vector<const StoredBitmap*>> stored =
+        FetchSlices(uint64_t{1} << i, &fetched);
+    fn(AuditableVector{"slice", i, nullptr,
+                       stored.ok() ? (*stored)[i] : nullptr});
+  }
+}
+
 size_t EncodedBitmapIndex::SizeBytes() const {
   size_t total = 0;
-  const size_t k = SliceCount();
-  for (size_t i = 0; i < k; ++i) {
-    total += SliceSizeBytes(i);
+  for (size_t i = 0; i < NumVectors(); ++i) {
+    total += SliceBytes(i);
   }
   // Mapping table: codeword array plus hash entries (code -> ValueId).
   total += mapping_.NumValues() * (sizeof(uint64_t) + 16);
   return total;
+}
+
+double EncodedBitmapIndex::EstimatePages(const SelectionShape& shape) const {
+  (void)shape;
+  const double existence = mapping_.void_code().has_value() ? 0.0 : 1.0;
+  if (options_.engine == nullptr) {
+    return (static_cast<double>(NumVectors()) + existence) *
+           PagesPerVector();
+  }
+  // Real extents: compressed slices estimate cheaper, matching the
+  // per-page charges a cold evaluation incurs.
+  double pages = existence * PagesPerVector();
+  for (const uint32_t id : slice_ids_) {
+    const Result<uint32_t> slice_pages = options_.engine->SlicePages(id);
+    pages += slice_pages.ok() ? static_cast<double>(*slice_pages) : 0.0;
+  }
+  return pages;
 }
 
 }  // namespace ebi

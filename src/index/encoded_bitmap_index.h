@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,6 +18,10 @@
 #include "util/stored_bitmap.h"
 
 namespace ebi {
+
+namespace engine {
+class StorageEngine;
+}  // namespace engine
 
 /// How the domain encoding of an EncodedBitmapIndex is chosen at Build().
 enum class EncodingStrategy {
@@ -69,6 +74,12 @@ struct EncodedBitmapIndexOptions {
   /// density (Section 3.1), so compression buys little here — the knob
   /// exists to measure exactly that, with the same query path throughout.
   BitmapFormat format = BitmapFormat::kPlain;
+
+  /// Where the slices live. nullptr keeps them resident in memory;
+  /// otherwise they are pages of this caller-owned engine, which must
+  /// outlive the index. Open the engine with the index's IoAccountant so
+  /// its page faults land in the same ledger as the index's vector reads.
+  engine::StorageEngine* engine = nullptr;
 };
 
 /// The encoded bitmap index of Definition 2.1 — the paper's contribution.
@@ -85,6 +96,16 @@ struct EncodedBitmapIndexOptions {
 /// appends of new values take a free codeword, or — when Equation (1)
 /// fails — grow the code width by adding an all-zero bitmap vector
 /// (Figure 2(b)).
+///
+/// The slices are either resident (options.engine == nullptr) or pages of
+/// a storage engine. Mapping, reduction and maintenance logic is shared;
+/// residency only decides how a slice is read and written, and what a
+/// read charges:
+///   - resident: one vector read of the slice's physical bytes;
+///   - engine: each page that missed the buffer pool (charged by the
+///     engine), plus one vector touch per slice whose fetch missed. A
+///     fully pooled slice costs nothing — only the slices a reduced
+///     retrieval expression references are faulted in.
 class EncodedBitmapIndex : public SecondaryIndex {
  public:
   EncodedBitmapIndex(const Column* column, const BitVector* existence,
@@ -118,6 +139,8 @@ class EncodedBitmapIndex : public SecondaryIndex {
   /// the slice vectors as built, rebinding to `column`/`existence`/`io`
   /// (which must hold exactly the rows this index has indexed). The
   /// clone keeps the trained mapping — no re-encoding, no Build() pass.
+  /// Engine-resident indexes are not cloned (Unimplemented): they are not
+  /// served, and a clone would have to copy every extent.
   Result<std::unique_ptr<SecondaryIndex>> CloneRebound(
       const Column* column, const BitVector* existence,
       IoAccountant* io) const override;
@@ -137,22 +160,19 @@ class EncodedBitmapIndex : public SecondaryIndex {
   }
 
   size_t SizeBytes() const override;
-  size_t NumVectors() const override { return SliceCount(); }
+  size_t NumVectors() const override {
+    return built_ ? static_cast<size_t>(mapping_.width()) : 0;
+  }
 
   /// Section 3.1: c_e <= ceil(log2 m) whatever δ is (worst case; reduction
   /// only lowers it), plus an existence read when no void codeword exists.
-  double EstimatePages(const SelectionShape& shape) const override {
-    (void)shape;
-    const double existence =
-        mapping_.void_code().has_value() ? 0.0 : 1.0;
-    return (static_cast<double>(SliceCount()) + existence) *
-           PagesPerVector();
-  }
+  /// Engine-resident slices are costed at the pages their extents span.
+  double EstimatePages(const SelectionShape& shape) const override;
 
   const MappingTable& mapping() const { return mapping_; }
-  /// The plain slice vectors. Only populated in BitmapFormat::kPlain (the
-  /// persistence path); empty when the index stores compressed slices.
-  const std::vector<BitVector>& slices() const { return slices_; }
+  /// The resident slice vectors in their stored format; empty when the
+  /// slices live in a storage engine.
+  const std::vector<StoredBitmap>& slices() const { return slices_; }
 
   /// The reduced retrieval expression an IN-list would evaluate — exposed
   /// so experiments can report c_e without running the query.
@@ -170,56 +190,63 @@ class EncodedBitmapIndex : public SecondaryIndex {
 
   /// Restores a previously persisted index: installs the mapping and the
   /// slice vectors directly (no rebuild pass). Slice count must equal the
-  /// mapping width and every slice must cover the bound column's rows.
-  /// Used by the persistence layer (index/persistence.h).
+  /// mapping width, every slice must cover the bound column's rows, and
+  /// all slices must share one format, which the index adopts. Used by
+  /// the persistence layer (index/persistence.h).
   Status RestoreFromParts(MappingTable mapping,
-                          std::vector<BitVector> slices);
+                          std::vector<StoredBitmap> slices);
 
+  /// Reads every slice back, engine-resident ones through the pool; a
+  /// slice whose pages fail to load is reported with no vector set.
   void ForEachAuditVector(
-      const std::function<void(const AuditableVector&)>& fn) const override {
-    for (size_t i = 0; i < slices_.size(); ++i) {
-      fn(AuditableVector{"slice", i, &slices_[i], nullptr});
-    }
-    for (size_t i = 0; i < stored_slices_.size(); ++i) {
-      fn(AuditableVector{"slice", i, nullptr, &stored_slices_[i]});
-    }
-  }
+      const std::function<void(const AuditableVector&)>& fn) const override;
 
   const MappingTable* audit_mapping() const override {
     return built_ ? &mapping_ : nullptr;
   }
 
  private:
+  /// Persistence reads the slices as a query does (index/persistence.h).
+  friend Status SaveEncodedBitmapIndex(std::ostream& out,
+                                       const EncodedBitmapIndex& index);
+
   Result<Cover> CoverForIds(const std::vector<ValueId>& ids) const;
   Result<BitVector> EvaluateCoverCharged(const Cover& cover);
   /// Writes codeword `code` into plain slices at row `row`.
   static void WriteCodeTo(std::vector<BitVector>* slices, size_t row,
                           uint64_t code);
-  /// Ticks ebi.index.slice_rewrites — one full decompress-modify-
-  /// recompress cycle of the compressed slice set.
-  static void CountSliceRewrite();
   Result<uint64_t> CodeForRow(size_t row) const;
 
-  /// Number of slice vectors (whatever the physical format).
-  size_t SliceCount() const {
-    return options_.format == BitmapFormat::kPlain ? slices_.size()
-                                                   : stored_slices_.size();
-  }
-  /// Physical bytes of slice `i` — the per-read I/O charge.
-  size_t SliceSizeBytes(size_t i) const;
-  /// Installs freshly built plain slices in the configured format.
-  void StoreSlices(std::vector<BitVector> plain);
-  /// Plain copies of every slice (decompress-modify-recompress idiom).
-  std::vector<BitVector> MaterializeSlices() const;
+  // Slice access. Apart from EstimatePages and CloneRebound, these are
+  // the only members that look at residency.
+
+  /// Read step: the slices whose bit is set in `vars`, charged to the
+  /// accountant per the residency contract (class comment). Resident
+  /// slices are returned in place; engine slices are read into
+  /// `*fetched`. Entries of unreferenced slices are nullptr.
+  Result<std::vector<const StoredBitmap*>> FetchSlices(
+      uint64_t vars, std::vector<StoredBitmap>* fetched) const;
+  /// Maintenance read: every slice as a plain vector. Resident plain
+  /// slices are moved out, not copied; any other form is decompressed or
+  /// fetched, which ticks ebi.index.slice_rewrites (one full
+  /// decompress-modify-recompress cycle of the slice set).
+  Result<std::vector<BitVector>> TakeSlices();
+  /// Write step: installs a rewritten slice set in the configured format,
+  /// in memory or over the engine's extents (updated in place, or put
+  /// when the width grew).
+  [[nodiscard]] Status StoreSlices(std::vector<BitVector> plain);
+  /// Physical bytes of slice `i`.
+  size_t SliceBytes(size_t i) const;
 
   EncodedBitmapIndexOptions options_;
   bool built_ = false;
   size_t rows_indexed_ = 0;
   MappingTable mapping_;
-  /// Plain-format storage: slices_[i] = B_i. Empty in compressed formats.
-  std::vector<BitVector> slices_;
-  /// Compressed-format storage (kRle / kEwah). Empty in kPlain.
-  std::vector<StoredBitmap> stored_slices_;
+  /// Resident slices: slices_[i] = B_i in the configured format.
+  std::vector<StoredBitmap> slices_;
+  /// Engine-resident slices: slice_ids_[i] is the engine::StorageEngine
+  /// SliceId holding B_i.
+  std::vector<uint32_t> slice_ids_;
 };
 
 }  // namespace ebi

@@ -21,7 +21,8 @@ class StoredBitmap;
 /// One bitmap vector an index physically holds, surfaced for structural
 /// audits (analysis/auditor.h). Exactly one of `plain` / `stored` is set,
 /// matching the index's storage: a raw BitVector or a format-tagged
-/// StoredBitmap whose compressed form can be checked in place.
+/// StoredBitmap whose compressed form can be checked in place. Neither
+/// is set when the vector could not be read back from its pages.
 struct AuditableVector {
   /// What the vector represents: "value", "slice", "bucket", "digit",
   /// "null", ... — the index family's own vocabulary.
@@ -138,9 +139,8 @@ class SecondaryIndex {
 
   /// Enumerates the bitmap vectors the index physically holds, for the
   /// InvariantAuditor's structural checks (length contracts, compressed-
-  /// form validity). Indexes without in-memory bitmap storage (B-tree,
-  /// projection, value-list, cold) enumerate nothing; the auditor reaches
-  /// disk-resident vectors through their own accessors.
+  /// form validity). Indexes that expose no vectors (B-tree, projection,
+  /// value-list) enumerate nothing.
   virtual void ForEachAuditVector(
       const std::function<void(const AuditableVector&)>& fn) const {
     (void)fn;

@@ -8,7 +8,9 @@ namespace ebi {
 namespace {
 
 constexpr uint32_t kMappingMagic = 0x4542494D;    // "EBIM".
-constexpr uint32_t kIndexMagic = 0x45424949;      // "EBII".
+// "EBIJ". Slices are saved in their stored format; the older "EBII"
+// stream held plain slices only and is rejected as a bad magic.
+constexpr uint32_t kIndexMagic = 0x4542494A;
 
 void WriteU32(std::ostream& out, uint32_t v) {
   char buf[4];
@@ -101,29 +103,37 @@ Result<MappingTable> LoadMappingTable(std::istream& in) {
 
 Status SaveEncodedBitmapIndex(std::ostream& out,
                               const EncodedBitmapIndex& index) {
+  std::vector<StoredBitmap> fetched;
+  EBI_ASSIGN_OR_RETURN(const std::vector<const StoredBitmap*> slices,
+                       index.FetchSlices(~uint64_t{0}, &fetched));
   WriteU32(out, kIndexMagic);
   EBI_RETURN_IF_ERROR(SaveMappingTable(out, index.mapping()));
-  WriteU64(out, index.slices().size());
-  for (const BitVector& slice : index.slices()) {
-    EBI_RETURN_IF_ERROR(SaveBitVector(out, slice));
+  WriteU64(out, slices.size());
+  for (const StoredBitmap* slice : slices) {
+    EBI_RETURN_IF_ERROR(SaveStoredBitmap(out, *slice));
   }
   return Status::OK();
 }
 
 Result<std::unique_ptr<EncodedBitmapIndex>> LoadEncodedBitmapIndex(
     std::istream& in, const Column* column, const BitVector* existence,
-    IoAccountant* io) {
+    IoAccountant* io, EncodedBitmapIndexOptions options) {
   EBI_RETURN_IF_ERROR(ExpectMagic(in, kIndexMagic, "EncodedBitmapIndex"));
   EBI_ASSIGN_OR_RETURN(MappingTable mapping, LoadMappingTable(in));
   EBI_ASSIGN_OR_RETURN(const uint64_t num_slices, ReadU64(in));
-  std::vector<BitVector> slices;
+  if (num_slices != static_cast<uint64_t>(mapping.width())) {
+    return Status::InvalidArgument(
+        "slice count " + std::to_string(num_slices) + " != mapping width " +
+        std::to_string(mapping.width()));
+  }
+  std::vector<StoredBitmap> slices;
   slices.reserve(num_slices);
   for (uint64_t i = 0; i < num_slices; ++i) {
-    EBI_ASSIGN_OR_RETURN(BitVector slice, LoadBitVector(in));
+    EBI_ASSIGN_OR_RETURN(StoredBitmap slice, LoadStoredBitmap(in));
     slices.push_back(std::move(slice));
   }
-  auto index =
-      std::make_unique<EncodedBitmapIndex>(column, existence, io);
+  auto index = std::make_unique<EncodedBitmapIndex>(column, existence, io,
+                                                    std::move(options));
   EBI_RETURN_IF_ERROR(
       index->RestoreFromParts(std::move(mapping), std::move(slices)));
   return index;

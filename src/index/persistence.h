@@ -33,14 +33,18 @@ namespace ebi {
                                       const MappingTable& mapping);
 [[nodiscard]] Result<MappingTable> LoadMappingTable(std::istream& in);
 
-/// Whole encoded bitmap indexes. Loading binds the restored slices and
-/// mapping to the caller's column/existence/accountant and validates the
-/// row counts — the column data itself is not part of the stream.
+/// Whole encoded bitmap indexes. Slices are saved in their stored format,
+/// read (and charged) as a query reads them — an engine-resident index's
+/// through its pool. Loading binds the restored slices and mapping to the
+/// caller's column/existence/accountant and validates the row counts —
+/// the column data itself is not part of the stream. `options` configures
+/// the loaded index (e.g. options.engine to restore it onto engine
+/// pages); its format is taken from the stream.
 [[nodiscard]] Status SaveEncodedBitmapIndex(std::ostream& out,
                                             const EncodedBitmapIndex& index);
 [[nodiscard]] Result<std::unique_ptr<EncodedBitmapIndex>> LoadEncodedBitmapIndex(
     std::istream& in, const Column* column, const BitVector* existence,
-    IoAccountant* io);
+    IoAccountant* io, EncodedBitmapIndexOptions options = {});
 
 }  // namespace ebi
 

@@ -25,11 +25,11 @@ void ValueListIndex::Pack(Entry* entry, const std::vector<uint32_t>& rids) {
     for (uint32_t rid : rids) {
       bits.Set(rid);
     }
-    entry->bitmap = RleBitmap::Compress(bits);
+    entry->bitmap = EwahBitmap::Compress(bits);
     entry->rids.clear();
   } else {
     entry->rids = rids;
-    entry->bitmap = RleBitmap();
+    entry->bitmap = EwahBitmap();
   }
 }
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "index/index.h"
-#include "util/rle_bitmap.h"
+#include "util/ewah_bitmap.h"
 
 namespace ebi {
 
@@ -71,7 +71,7 @@ class ValueListIndex : public SecondaryIndex {
     int64_t key = 0;           // Sort key (value or string rank).
     ValueId id = 0;            // Dictionary id.
     bool is_bitmap = false;
-    RleBitmap bitmap;          // When is_bitmap.
+    EwahBitmap bitmap;         // When is_bitmap.
     std::vector<uint32_t> rids;  // Otherwise.
   };
 

@@ -81,7 +81,7 @@ class AttrValue {
 
 /// One timed, attributed node of a query trace. Spans nest: a
 /// planner.select span holds one predicate span per conjunct, which holds
-/// the plan.choose and index.eval spans, and so on down to store.get.
+/// the plan.choose and index.eval spans, and so on down to cover.eval.
 struct TraceSpan {
   std::string name;
   /// Wall-clock duration, filled when the span closes.

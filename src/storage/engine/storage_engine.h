@@ -95,6 +95,9 @@ class StorageEngine {
   /// Warms the pool with every page of the given slices (asynchronously
   /// when a prefetch pool is configured). Unknown ids are ignored.
   void PrefetchSlices(const std::vector<SliceId>& ids);
+  /// True when PrefetchSlices runs on a prefetch pool. A synchronous
+  /// prefetch only moves the faults ahead of the reads, so callers skip it.
+  bool async_prefetch() const { return options_.prefetch_pool != nullptr; }
 
   /// Re-reads every page of slice `id` and validates its checksums.
   [[nodiscard]] Status VerifySlice(SliceId id);
@@ -106,7 +109,6 @@ class StorageEngine {
   [[nodiscard]] Status Sync();
 
   BufferPoolStats pool_stats() const { return pool_->stats(); }
-  size_t PoolResident() const { return pool_->Resident(); }
   size_t page_size() const { return file_.page_size(); }
   const std::string& path() const { return path_; }
 

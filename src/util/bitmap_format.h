@@ -13,33 +13,29 @@ namespace ebi {
 /// therefore how many bytes a vector read charges to the IoAccountant):
 ///
 ///   kPlain — one bit per tuple, word-aligned (BitVector).
-///   kRle   — alternating 0/1 run lengths (RleBitmap); best for the very
-///            sparse vectors of simple indexes on high-cardinality
-///            attributes (Section 4 of the paper).
 ///   kEwah  — word-aligned hybrid (EwahBitmap): marker words carry a
 ///            clean-run length plus a literal count, so logical operations
-///            run directly on the compressed form at word granularity.
+///            run directly on the compressed form at word granularity;
+///            best for the very sparse vectors of simple indexes on
+///            high-cardinality attributes (Section 4 of the paper).
 enum class BitmapFormat : uint8_t {
   kPlain = 0,
-  kRle = 1,
   kEwah = 2,
 };
 
-/// Short stable name, e.g. "plain", "rle", "ewah".
+/// Short stable name, e.g. "plain", "ewah".
 inline const char* BitmapFormatName(BitmapFormat format) {
   switch (format) {
     case BitmapFormat::kPlain:
       return "plain";
-    case BitmapFormat::kRle:
-      return "rle";
     case BitmapFormat::kEwah:
       return "ewah";
   }
   return "?";
 }
 
-/// Index-name suffix: "" for the default plain format, "-rle" / "-ewah"
-/// otherwise, so e.g. SimpleBitmapIndex reports "simple-bitmap-ewah".
+/// Index-name suffix: "" for the default plain format, "-ewah" otherwise,
+/// so e.g. SimpleBitmapIndex reports "simple-bitmap-ewah".
 inline std::string BitmapFormatSuffix(BitmapFormat format) {
   return format == BitmapFormat::kPlain
              ? std::string()
@@ -51,9 +47,6 @@ inline std::optional<BitmapFormat> ParseBitmapFormat(
     const std::string& name) {
   if (name == "plain") {
     return BitmapFormat::kPlain;
-  }
-  if (name == "rle") {
-    return BitmapFormat::kRle;
   }
   if (name == "ewah") {
     return BitmapFormat::kEwah;

@@ -19,12 +19,12 @@ namespace ebi {
 ///   bits 1..32  clean-run length in 64-bit words,
 ///   bits 33..63 number of verbatim literal words that follow.
 ///
-/// Unlike the bit-granular RleBitmap, every logical operation works at
-/// word granularity directly on the compressed form: clean runs are
-/// skipped or emitted wholesale and only literal words are combined
-/// bitwise. This is the compression family of Wu/Lemire-style bitmap
-/// engines (see "Sorting improves word-aligned bitmap indexes" in
-/// PAPERS.md) and the second compressed backend behind BitmapFormat.
+/// Every logical operation works at word granularity directly on the
+/// compressed form: clean runs are skipped or emitted wholesale and only
+/// literal words are combined bitwise. This is the compression family of
+/// Wu/Lemire-style bitmap engines (see "Sorting improves word-aligned
+/// bitmap indexes" in PAPERS.md) and the compressed backend behind
+/// BitmapFormat.
 ///
 /// Invariants mirror BitVector: bits at positions >= size() are zero, so
 /// Count() and equality never need masking; a partial last word is always
@@ -106,8 +106,8 @@ class EwahBitmap {
     }
   }
 
-  /// Reconstructs a bitmap from a serialized buffer (e.g. read back from a
-  /// BitmapStore slot). Validates that the markers are well formed and
+  /// Reconstructs a bitmap from a serialized buffer (e.g. read back from
+  /// a storage-engine page). Validates that the markers are well formed and
   /// cover exactly ceil(bits / 64) words; rejects corrupt buffers.
   static Result<EwahBitmap> FromWords(std::vector<uint64_t> words,
                                       size_t bits);

@@ -7,7 +7,6 @@
 #include "util/bitmap_format.h"
 #include "util/bitvector.h"
 #include "util/ewah_bitmap.h"
-#include "util/rle_bitmap.h"
 #include "util/status.h"
 
 namespace ebi {
@@ -19,7 +18,7 @@ namespace ebi {
 /// — and therefore the I/O charged per vector read — reflects the
 /// physical representation. Logical operations dispatch to the matching
 /// compressed-form kernel, so a query path written against StoredBitmap
-/// runs unchanged over plain, RLE and EWAH storage.
+/// runs unchanged over plain and EWAH storage.
 class StoredBitmap {
  public:
   /// An empty plain bitmap.
@@ -32,17 +31,11 @@ class StoredBitmap {
   /// the deserialization path, where the compressed words were validated
   /// on read and decompress/recompress would lose the exact physical
   /// layout the I/O charge is based on.
-  [[nodiscard]] static StoredBitmap FromRle(RleBitmap rle);
   [[nodiscard]] static StoredBitmap FromEwah(EwahBitmap ewah);
 
   [[nodiscard]] BitmapFormat format() const {
-    if (std::holds_alternative<RleBitmap>(rep_)) {
-      return BitmapFormat::kRle;
-    }
-    if (std::holds_alternative<EwahBitmap>(rep_)) {
-      return BitmapFormat::kEwah;
-    }
-    return BitmapFormat::kPlain;
+    return std::holds_alternative<EwahBitmap>(rep_) ? BitmapFormat::kEwah
+                                                    : BitmapFormat::kPlain;
   }
 
   /// Number of logical bits.
@@ -55,7 +48,9 @@ class StoredBitmap {
   [[nodiscard]] double Sparsity() const;
 
   /// Expands to a plain bit vector (a copy even for plain storage).
-  [[nodiscard]] BitVector ToBitVector() const;
+  [[nodiscard]] BitVector ToBitVector() const&;
+  /// As above, but plain storage is moved out rather than copied.
+  [[nodiscard]] BitVector ToBitVector() &&;
 
   /// Fast path: the underlying plain vector, or nullptr when compressed.
   [[nodiscard]] const BitVector* AsPlain() const {
@@ -63,10 +58,7 @@ class StoredBitmap {
   }
 
   /// The underlying compressed form, or nullptr when the format differs.
-  /// Used by persistence to serialize runs/words without decompressing.
-  [[nodiscard]] const RleBitmap* AsRle() const {
-    return std::get_if<RleBitmap>(&rep_);
-  }
+  /// Used by persistence to serialize words without decompressing.
   [[nodiscard]] const EwahBitmap* AsEwah() const {
     return std::get_if<EwahBitmap>(&rep_);
   }
@@ -90,7 +82,7 @@ class StoredBitmap {
   }
 
  private:
-  std::variant<BitVector, RleBitmap, EwahBitmap> rep_;
+  std::variant<BitVector, EwahBitmap> rep_;
 };
 
 }  // namespace ebi

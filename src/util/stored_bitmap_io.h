@@ -26,14 +26,13 @@ namespace ebi {
 [[nodiscard]] Result<BitVector> LoadBitVector(std::istream& in);
 
 /// Stored bitmaps in their physical format. The stream carries a format
-/// tag after the magic; RLE bitmaps serialize their run array and EWAH
-/// bitmaps their marker/literal words, so a compressed vector
-/// round-trips without a decompress/recompress cycle and keeps the
-/// exact physical layout (and therefore SizeBytes / I/O charge) it had
-/// when saved. Loading validates the compressed form: RLE runs must sum
-/// to the declared bit size, and EWAH words must decode to exactly the
-/// declared word count (EwahBitmap::FromWords); corrupt buffers are
-/// rejected rather than trusted.
+/// tag after the magic; EWAH bitmaps serialize their marker/literal
+/// words, so a compressed vector round-trips without a
+/// decompress/recompress cycle and keeps the exact physical layout (and
+/// therefore SizeBytes / I/O charge) it had when saved. Loading validates
+/// the compressed form: EWAH words must decode to exactly the declared
+/// word count (EwahBitmap::FromWords); corrupt buffers and unknown format
+/// tags are rejected rather than trusted.
 [[nodiscard]] Status SaveStoredBitmap(std::ostream& out,
                                       const StoredBitmap& bitmap);
 [[nodiscard]] Result<StoredBitmap> LoadStoredBitmap(std::istream& in);

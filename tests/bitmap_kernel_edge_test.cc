@@ -1,6 +1,6 @@
 // Edge-case and randomized-equivalence coverage for the bitmap kernel
-// layer: BitVector (the oracle), RleBitmap and EwahBitmap (the compressed
-// backends). Every compressed-form operation is checked bit-for-bit
+// layer: BitVector (the oracle) and EwahBitmap (the compressed
+// backend). Every compressed-form operation is checked bit-for-bit
 // against the plain BitVector result over ~1k seeded random trials.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "util/bitvector.h"
 #include "util/ewah_bitmap.h"
 #include "util/random.h"
-#include "util/rle_bitmap.h"
 
 namespace ebi {
 namespace {
@@ -32,36 +31,21 @@ TEST(BitmapKernelEdgeTest, EmptyBitmapsThroughEveryKernel) {
   EXPECT_EQ(And(empty, empty), empty);
   EXPECT_EQ(Or(empty, empty), empty);
   EXPECT_EQ(Not(empty), empty);
-  EXPECT_EQ(RleBitmap::And(RleBitmap(), RleBitmap()).size(), 0u);
   EXPECT_EQ(EwahBitmap::Or(EwahBitmap(), EwahBitmap()).size(), 0u);
   EXPECT_EQ(EwahBitmap().Not().Count(), 0u);
-}
-
-TEST(BitmapKernelEdgeTest, RleNotOfEmptyIsEmpty) {
-  const RleBitmap empty;
-  EXPECT_EQ(empty.Not().size(), 0u);
-  EXPECT_EQ(empty.Not().Count(), 0u);
-  EXPECT_EQ(empty.Not().Decompress(), BitVector());
-  // Not of a compressed empty vector likewise.
-  EXPECT_EQ(RleBitmap::Compress(BitVector()).Not().size(), 0u);
 }
 
 TEST(BitmapKernelEdgeTest, AllZeroAllOneCombinations) {
   const size_t n = 1000;
   const BitVector zeros(n);
   const BitVector ones(n, true);
-  const RleBitmap rle_zeros = RleBitmap::Compress(zeros);
-  const RleBitmap rle_ones = RleBitmap::Compress(ones);
   const EwahBitmap ewah_zeros = EwahBitmap::Compress(zeros);
   const EwahBitmap ewah_ones = EwahBitmap::Compress(ones);
 
-  EXPECT_EQ(RleBitmap::And(rle_zeros, rle_ones).Decompress(), zeros);
-  EXPECT_EQ(RleBitmap::Or(rle_zeros, rle_ones).Decompress(), ones);
   EXPECT_EQ(EwahBitmap::And(ewah_zeros, ewah_ones).Decompress(), zeros);
   EXPECT_EQ(EwahBitmap::Or(ewah_zeros, ewah_ones).Decompress(), ones);
   EXPECT_EQ(EwahBitmap::Xor(ewah_ones, ewah_ones).Decompress(), zeros);
   EXPECT_EQ(EwahBitmap::AndNot(ewah_ones, ewah_zeros).Decompress(), ones);
-  EXPECT_EQ(rle_ones.Not().Decompress(), zeros);
   EXPECT_EQ(ewah_zeros.Not().Decompress(), ones);
 }
 
@@ -70,14 +54,6 @@ TEST(BitmapKernelEdgeTest, AllZeroAllOneCombinations) {
 TEST(BitmapKernelEdgeTest, CheckedVariantsRejectMismatchedSizes) {
   const BitVector a_bits(100);
   const BitVector b_bits(101);
-  const RleBitmap ra = RleBitmap::Compress(a_bits);
-  const RleBitmap rb = RleBitmap::Compress(b_bits);
-  EXPECT_EQ(RleBitmap::AndChecked(ra, rb).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(RleBitmap::OrChecked(ra, rb).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(RleBitmap::AndChecked(ra, ra).ok());
-
   const EwahBitmap ea = EwahBitmap::Compress(a_bits);
   const EwahBitmap eb = EwahBitmap::Compress(b_bits);
   EXPECT_EQ(EwahBitmap::AndChecked(ea, eb).status().code(),
@@ -117,7 +93,6 @@ TEST(BitmapKernelEdgeTest, ResizeShrinkWithinLastWord) {
 TEST(BitmapKernelEdgeTest, CompressedTailsStayClearAfterNot) {
   for (size_t n : std::vector<size_t>{1, 63, 65, 100, 130}) {
     const BitVector zeros(n);
-    EXPECT_EQ(RleBitmap::Compress(zeros).Not().Count(), n) << n;
     EXPECT_EQ(EwahBitmap::Compress(zeros).Not().Count(), n) << n;
     EXPECT_EQ(EwahBitmap::Compress(zeros).Not().Decompress(),
               BitVector(n, true))
@@ -128,7 +103,7 @@ TEST(BitmapKernelEdgeTest, CompressedTailsStayClearAfterNot) {
 // --- Randomized equivalence: compressed kernels vs the plain oracle ------
 
 TEST(BitmapKernelEdgeTest, RandomizedEquivalenceAgainstPlainOracle) {
-  // ~1k trials: 250 iterations x (And, Or, Not/Xor) x (RLE, EWAH),
+  // ~1k trials: 250 iterations x (And, Or, Xor, Not) on EWAH,
   // with sizes crossing word boundaries and densities spanning sparse to
   // dense. Seeded, so failures reproduce.
   Rng rng(20260805);
@@ -138,16 +113,6 @@ TEST(BitmapKernelEdgeTest, RandomizedEquivalenceAgainstPlainOracle) {
     const double db = rng.UniformDouble();
     const BitVector a = RandomBits(n, da * da, &rng);  // skew sparse
     const BitVector b = RandomBits(n, db, &rng);
-
-    const RleBitmap ra = RleBitmap::Compress(a);
-    const RleBitmap rb = RleBitmap::Compress(b);
-    ASSERT_EQ(ra.Decompress(), a) << "trial " << trial;
-    ASSERT_EQ(RleBitmap::And(ra, rb).Decompress(), And(a, b))
-        << "trial " << trial;
-    ASSERT_EQ(RleBitmap::Or(ra, rb).Decompress(), Or(a, b))
-        << "trial " << trial;
-    ASSERT_EQ(ra.Not().Decompress(), Not(a)) << "trial " << trial;
-    ASSERT_EQ(ra.Count(), a.Count()) << "trial " << trial;
 
     const EwahBitmap ea = EwahBitmap::Compress(a);
     const EwahBitmap eb = EwahBitmap::Compress(b);
@@ -165,7 +130,7 @@ TEST(BitmapKernelEdgeTest, RandomizedEquivalenceAgainstPlainOracle) {
 
 TEST(BitmapKernelEdgeTest, RandomizedRunHeavyEquivalence) {
   // Run-heavy inputs (long homogeneous stretches) exercise the clean-run
-  // fast paths of both compressed kernels rather than literal handling.
+  // fast paths of the compressed kernel rather than literal handling.
   Rng rng(97);
   for (int trial = 0; trial < 100; ++trial) {
     const size_t n = 200 + rng.UniformInt(3000);
@@ -186,7 +151,7 @@ TEST(BitmapKernelEdgeTest, RandomizedRunHeavyEquivalence) {
                   .Decompress(),
               And(a, b))
         << "trial " << trial;
-    ASSERT_EQ(RleBitmap::Or(RleBitmap::Compress(a), RleBitmap::Compress(b))
+    ASSERT_EQ(EwahBitmap::Or(EwahBitmap::Compress(a), EwahBitmap::Compress(b))
                   .Decompress(),
               Or(a, b))
         << "trial " << trial;

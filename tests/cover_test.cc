@@ -45,6 +45,14 @@ TEST(CoverTest, ToStringJoinsWithPlus) {
   EXPECT_EQ(CoverToString(FigureOneInList(), 2), "B1'B0' + B1'B0");
 }
 
+std::vector<const BitVector*> Ptrs(const std::vector<BitVector>& slices) {
+  std::vector<const BitVector*> out;
+  for (const BitVector& slice : slices) {
+    out.push_back(&slice);
+  }
+  return out;
+}
+
 TEST(CoverTest, EvaluateFigureOneExample) {
   // Figure 1: column A over {a,b,c} encoded a=00, b=01, c=10; rows:
   // a c b NULL? -> use a c b a b with B1/B0 slices.
@@ -55,25 +63,34 @@ TEST(CoverTest, EvaluateFigureOneExample) {
 
   // f_a = B1'B0' selects rows 0 and 3.
   const Cover fa = {Cube::MinTerm(0b00, 2)};
-  EXPECT_EQ(EvaluateCover(fa, slices, 5).ToString(), "10010");
+  EXPECT_EQ(EvaluateCover(fa, Ptrs(slices), 5).ToString(), "10010");
 
   // f_a + f_b reduces to B1'; selects rows 0, 2, 3, 4.
   const Cover fb_or_fa_reduced = {Cube(0b00, 0b10)};
-  EXPECT_EQ(EvaluateCover(fb_or_fa_reduced, slices, 5).ToString(), "10111");
+  EXPECT_EQ(EvaluateCover(fb_or_fa_reduced, Ptrs(slices), 5).ToString(),
+            "10111");
 
   // Unreduced f_a + f_b must select the same rows.
-  EXPECT_EQ(EvaluateCover(FigureOneInList(), slices, 5).ToString(), "10111");
+  EXPECT_EQ(EvaluateCover(FigureOneInList(), Ptrs(slices), 5).ToString(),
+            "10111");
+}
+
+TEST(CoverTest, EvaluateSkipsUnreferencedSlices) {
+  // B1' references only B1, so B0 may be absent.
+  const BitVector b1 = BitVector::FromString("01000");
+  const Cover not_b1 = {Cube(0b00, 0b10)};
+  EXPECT_EQ(EvaluateCover(not_b1, {nullptr, &b1}, 5).ToString(), "10111");
 }
 
 TEST(CoverTest, EvaluateEmptyCoverIsAllZero) {
   const std::vector<BitVector> slices = {BitVector(4), BitVector(4)};
-  EXPECT_TRUE(EvaluateCover({}, slices, 4).IsZero());
+  EXPECT_TRUE(EvaluateCover({}, Ptrs(slices), 4).IsZero());
 }
 
 TEST(CoverTest, EvaluateTautologyCube) {
   const std::vector<BitVector> slices = {BitVector(6), BitVector(6)};
   const Cover cover = {Cube(0, 0)};
-  EXPECT_EQ(EvaluateCover(cover, slices, 6).Count(), 6u);
+  EXPECT_EQ(EvaluateCover(cover, Ptrs(slices), 6).Count(), 6u);
 }
 
 TEST(CoverTest, EvaluateMatchesCoverCoversOnAllCodes) {
@@ -89,7 +106,7 @@ TEST(CoverTest, EvaluateMatchesCoverCoversOnAllCodes) {
     }
   }
   const Cover cover = {Cube(0b010, 0b110), Cube::MinTerm(0b101, 3)};
-  const BitVector result = EvaluateCover(cover, slices, n);
+  const BitVector result = EvaluateCover(cover, Ptrs(slices), n);
   for (size_t row = 0; row < n; ++row) {
     EXPECT_EQ(result.Get(row), CoverCovers(cover, row)) << row;
   }

@@ -48,26 +48,6 @@ TEST(EdgeCasesTest, CsvCustomNullToken) {
   EXPECT_TRUE((*table)->column(0).ValueAt(1).is_null());
 }
 
-TEST(EdgeCasesTest, BitmapStoreMoveSemantics) {
-  IoAccountant io;
-  auto opened = BitmapStore::Open(
-      std::string(::testing::TempDir()) + "/ebi_move.bin", 2, &io);
-  ASSERT_TRUE(opened.ok());
-  BitmapStore store = std::move(opened).value();
-  const auto id = store.Put(BitVector::FromString("1010"));
-  ASSERT_TRUE(id.ok());
-  BitmapStore moved = std::move(store);
-  const auto bits = moved.Get(*id);
-  ASSERT_TRUE(bits.ok());
-  EXPECT_EQ(bits->ToString(), "1010");
-}
-
-TEST(EdgeCasesTest, RleFromRunsTrailingZeros) {
-  const RleBitmap rle = RleBitmap::FromRuns({2, 1, 3});
-  EXPECT_EQ(rle.size(), 6u);
-  EXPECT_EQ(rle.Decompress().ToString(), "001000");
-}
-
 TEST(EdgeCasesTest, SingleRowIndexesAgree) {
   auto table = IntTable({42});
   IoAccountant io;
@@ -144,14 +124,16 @@ TEST(EdgeCasesTest, ReencodeBeforeBuildRejected) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(EdgeCasesTest, ColdIndexEmptyDomainRejected) {
+TEST(EdgeCasesTest, EngineResidentIndexEmptyDomainRejected) {
   auto table = std::make_unique<Table>("T");
   ASSERT_TRUE(table->AddColumn("a", Column::Type::kInt64).ok());
   IoAccountant io;
-  ColdEncodedBitmapIndexOptions options;
-  options.directory = ::testing::TempDir();
-  ColdEncodedBitmapIndex index(&table->column(0), &table->existence(), &io,
-                               options);
+  auto engine = testing_util::ScratchEngine("edge_empty", 4, &io);
+  ASSERT_NE(engine, nullptr);
+  EncodedBitmapIndexOptions options;
+  options.engine = engine.get();
+  EncodedBitmapIndex index(&table->column(0), &table->existence(), &io,
+                           options);
   EXPECT_EQ(index.Build().code(), StatusCode::kFailedPrecondition);
 }
 

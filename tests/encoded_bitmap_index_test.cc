@@ -152,18 +152,6 @@ TEST_F(EncodedBitmapIndexTest, NoVoidCodeFallsBackToExistenceAnd) {
   EXPECT_GE(io_.stats().vectors_read, 2u);
 }
 
-TEST_F(EncodedBitmapIndexTest, NullsGetTheirOwnCodeword) {
-  Init(IntTable({1, INT64_MIN, 2, INT64_MIN, 1}));
-  ASSERT_TRUE(index_->mapping().null_code().has_value());
-  const auto nulls = index_->EvaluateIsNull();
-  ASSERT_TRUE(nulls.ok());
-  EXPECT_EQ(nulls->ToString(), "01010");
-  // NULL rows never satisfy value selections.
-  const auto eq = index_->EvaluateEquals(Value::Int(1));
-  ASSERT_TRUE(eq.ok());
-  EXPECT_EQ(eq->ToString(), "10001");
-}
-
 TEST_F(EncodedBitmapIndexTest, IsNullWithoutNullCodeFails) {
   Init(IntTable({1, 2}));
   EXPECT_EQ(index_->EvaluateIsNull().status().code(),
@@ -208,21 +196,6 @@ TEST_F(EncodedBitmapIndexTest, DomainExpansionAddsVector) {
   EXPECT_EQ(index_->NumVectors(), 3u);
   // Old values must still be retrievable (functions revised by B2').
   for (int64_t v : {10, 20, 30, 40, 50}) {
-    const auto result = index_->EvaluateEquals(Value::Int(v));
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(*result, ScanEquals(*table_, table_->column(0), v)) << v;
-  }
-}
-
-TEST_F(EncodedBitmapIndexTest, RepeatedExpansionStaysCorrect) {
-  Init(IntTable({0}));
-  for (int64_t v = 1; v < 40; ++v) {
-    ASSERT_TRUE(table_->AppendRow({Value::Int(v)}).ok());
-    ASSERT_TRUE(index_->Append(static_cast<size_t>(v)).ok());
-  }
-  EXPECT_EQ(index_->NumVectors(),
-            static_cast<size_t>(Log2Ceil(41)));  // 40 values + void.
-  for (int64_t v = 0; v < 40; v += 7) {
     const auto result = index_->EvaluateEquals(Value::Int(v));
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(*result, ScanEquals(*table_, table_->column(0), v)) << v;
@@ -278,7 +251,7 @@ TEST_F(EncodedBitmapIndexTest, SparsityIsAboutOneHalf) {
       &table_->column(0), &table_->existence(), &io_, options);
   ASSERT_TRUE(index_->Build().ok());
   double total_density = 0.0;
-  for (const BitVector& slice : index_->slices()) {
+  for (const StoredBitmap& slice : index_->slices()) {
     total_density += 1.0 - slice.Sparsity();
   }
   const double avg = total_density / index_->slices().size();
@@ -335,59 +308,6 @@ TEST_F(EncodedBitmapIndexTest, TrainedEncodingReducesPredicateCost) {
       {Value::Int(0), Value::Int(1), Value::Int(2), Value::Int(3)});
   ASSERT_TRUE(cost.ok());
   EXPECT_EQ(*cost, 1);
-}
-
-TEST_F(EncodedBitmapIndexTest, CompressedFormatsMatchPlainQueries) {
-  auto table = RandomIntTable(800, 30, 11);
-  IoAccountant io;
-  EncodedBitmapIndex plain(&table->column(0), &table->existence(), &io);
-  ASSERT_TRUE(plain.Build().ok());
-  for (BitmapFormat format : {BitmapFormat::kRle, BitmapFormat::kEwah}) {
-    EncodedBitmapIndexOptions options;
-    options.format = format;
-    EncodedBitmapIndex index(&table->column(0), &table->existence(), &io,
-                             options);
-    ASSERT_TRUE(index.Build().ok());
-    EXPECT_EQ(index.Name(), std::string("encoded-bitmap") +
-                                BitmapFormatSuffix(format));
-    EXPECT_EQ(index.NumVectors(), plain.NumVectors());
-    for (int64_t v : {0, 7, 15, 29}) {
-      const auto a = plain.EvaluateEquals(Value::Int(v));
-      const auto b = index.EvaluateEquals(Value::Int(v));
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(*a, *b) << BitmapFormatName(format) << " v=" << v;
-    }
-    const auto pr = plain.EvaluateRange(5, 20);
-    const auto cr = index.EvaluateRange(5, 20);
-    ASSERT_TRUE(pr.ok());
-    ASSERT_TRUE(cr.ok());
-    EXPECT_EQ(*pr, *cr) << BitmapFormatName(format);
-  }
-}
-
-TEST_F(EncodedBitmapIndexTest, CompressedFormatMaintenanceStaysCorrect) {
-  for (BitmapFormat format : {BitmapFormat::kRle, BitmapFormat::kEwah}) {
-    EncodedBitmapIndexOptions options;
-    options.format = format;
-    Init(IntTable({1, 2, 3, 1}), options);
-    // Append of a known value, then a domain expansion, then a delete.
-    ASSERT_TRUE(table_->AppendRow({Value::Int(2)}).ok());
-    ASSERT_TRUE(index_->Append(4).ok());
-    ASSERT_TRUE(table_->AppendRow({Value::Int(9)}).ok());
-    ASSERT_TRUE(index_->Append(5).ok());
-    ASSERT_TRUE(table_->DeleteRow(0).ok());
-    ASSERT_TRUE(index_->MarkDeleted(0).ok());
-    const auto one = index_->EvaluateEquals(Value::Int(1));
-    ASSERT_TRUE(one.ok());
-    EXPECT_EQ(one->ToString(), "000100") << BitmapFormatName(format);
-    const auto two = index_->EvaluateEquals(Value::Int(2));
-    ASSERT_TRUE(two.ok());
-    EXPECT_EQ(two->ToString(), "010010") << BitmapFormatName(format);
-    const auto nine = index_->EvaluateEquals(Value::Int(9));
-    ASSERT_TRUE(nine.ok());
-    EXPECT_EQ(nine->ToString(), "000001") << BitmapFormatName(format);
-  }
 }
 
 TEST_F(EncodedBitmapIndexTest, AppendBeforeBuildRejected) {

@@ -24,7 +24,7 @@ class IndexManagerTest : public ::testing::Test {
 
 TEST_F(IndexManagerTest, KindNamesRoundTrip) {
   for (IndexKind kind :
-       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapRle,
+       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapEwah,
         IndexKind::kEncodedBitmap, IndexKind::kBitSliced,
         IndexKind::kBaseBitSliced, IndexKind::kProjection, IndexKind::kBTree,
         IndexKind::kValueList, IndexKind::kRangeBasedBitmap,
@@ -34,6 +34,8 @@ TEST_F(IndexManagerTest, KindNamesRoundTrip) {
     EXPECT_EQ(*parsed, kind);
   }
   EXPECT_FALSE(IndexKindFromName("nope").ok());
+  // The run-length format is retired; its kind name no longer parses.
+  EXPECT_FALSE(IndexKindFromName("simple-rle").ok());
 }
 
 TEST_F(IndexManagerTest, CreateBuildsAndRegisters) {
@@ -115,7 +117,7 @@ TEST_F(IndexManagerTest, DropUnregistersEverywhere) {
 
 TEST_F(IndexManagerTest, AllKindsBuildOnIntColumn) {
   for (IndexKind kind :
-       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapRle,
+       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapEwah,
         IndexKind::kEncodedBitmap, IndexKind::kBitSliced,
         IndexKind::kBaseBitSliced, IndexKind::kProjection, IndexKind::kBTree,
         IndexKind::kValueList, IndexKind::kRangeBasedBitmap,

@@ -2,18 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "exec/thread_pool.h"
-#include "index/cold_encoded_bitmap_index.h"
+#include "index/encoded_bitmap_index.h"
 #include "index/index_factory.h"
 #include "index/persistence.h"
 #include "index/sharded_index.h"
 #include "storage/segmented_table.h"
+#include "storage/engine/page_file.h"
 #include "test_util.h"
-#include "util/rle_bitmap.h"
 
 namespace ebi {
 namespace {
@@ -135,13 +136,6 @@ TEST(InvariantAuditorTest, DetectsWrongWordCountInRawWords) {
       << report.ToString();
 }
 
-TEST(InvariantAuditorTest, DetectsRleRunSumMismatch) {
-  const AuditReport report =
-      InvariantAuditor::AuditRleRuns({3, 2}, /*declared_bits=*/6);
-  EXPECT_TRUE(report.Has(ViolationKind::kRleRunSumMismatch))
-      << report.ToString();
-}
-
 TEST(InvariantAuditorTest, DetectsCorruptEwahWords) {
   // A marker claiming two literal words but providing none.
   const std::vector<uint64_t> words = {uint64_t{2} << 33};
@@ -157,7 +151,7 @@ TEST(InvariantAuditorTest, StoredBitmapCleanInEveryFormat) {
     bits.Set(i);
   }
   for (const BitmapFormat format :
-       {BitmapFormat::kPlain, BitmapFormat::kRle, BitmapFormat::kEwah}) {
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
     const StoredBitmap stored = StoredBitmap::Make(bits, format);
     const AuditReport report =
         InvariantAuditor::AuditStoredBitmap(stored, 200);
@@ -174,7 +168,7 @@ TEST(InvariantAuditorTest, CleanPersistedBitmapRoundTrips) {
   bits.Set(64);
   std::ostringstream out;
   ASSERT_TRUE(
-      SaveStoredBitmap(out, StoredBitmap::Make(bits, BitmapFormat::kRle))
+      SaveStoredBitmap(out, StoredBitmap::Make(bits, BitmapFormat::kEwah))
           .ok());
   std::istringstream in(out.str());
   const AuditReport report = InvariantAuditor::AuditPersistedBitmap(in, 100);
@@ -225,8 +219,8 @@ TEST(InvariantAuditorTest, DetectsWrongLengthPersistedBitmap) {
 TEST(InvariantAuditorTest, CleanAuditAcrossIndexFamilies) {
   auto table = RandomIntTable(300, 25, 11, 0.05);
   for (const IndexKind kind :
-       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapRle,
-        IndexKind::kSimpleBitmapEwah, IndexKind::kEncodedBitmap,
+       {IndexKind::kSimpleBitmap, IndexKind::kSimpleBitmapEwah,
+        IndexKind::kEncodedBitmap,
         IndexKind::kBitSliced, IndexKind::kBaseBitSliced,
         IndexKind::kRangeBasedBitmap, IndexKind::kDynamicBitmap}) {
     IoAccountant io;
@@ -242,19 +236,58 @@ TEST(InvariantAuditorTest, CleanAuditAcrossIndexFamilies) {
   }
 }
 
-TEST(InvariantAuditorTest, CleanAuditOnColdIndex) {
+TEST(InvariantAuditorTest, CleanAuditOnEngineResidentIndex) {
   auto table = RandomIntTable(200, 20, 5);
+  for (const BitmapFormat format :
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
+    IoAccountant io;
+    // Two pages for five slices: most audit reads fault from the file.
+    auto engine = testing_util::ScratchEngine("audit_clean", 2, &io);
+    ASSERT_NE(engine, nullptr);
+    EncodedBitmapIndexOptions options;
+    options.format = format;
+    options.engine = engine.get();
+    EncodedBitmapIndex index(&table->column(0), &table->existence(), &io,
+                             options);
+    ASSERT_TRUE(index.Build().ok());
+    const uint64_t pool_reads_before =
+        engine->pool_stats().hits + engine->pool_stats().misses;
+    const AuditReport report =
+        InvariantAuditor::AuditIndex(index, table->NumRows());
+    EXPECT_TRUE(report.clean())
+        << BitmapFormatName(format) << ": " << report.ToString();
+    // The walk must actually fetch every slice through the pool.
+    EXPECT_GE(report.checks_run, index.NumVectors());
+    EXPECT_GE(engine->pool_stats().hits + engine->pool_stats().misses,
+              pool_reads_before + index.NumVectors());
+  }
+}
+
+TEST(InvariantAuditorTest, DetectsCorruptEngineResidentSlice) {
+  auto table = RandomIntTable(2000, 20, 6);
   IoAccountant io;
-  ColdEncodedBitmapIndexOptions options;
-  options.directory = ::testing::TempDir();
-  options.format = BitmapFormat::kEwah;
-  ColdEncodedBitmapIndex index(&table->column(0), &table->existence(), &io,
-                               options);
+  auto engine = testing_util::ScratchEngine("audit_corrupt", 1, &io);
+  ASSERT_NE(engine, nullptr);
+  EncodedBitmapIndexOptions options;
+  options.engine = engine.get();
+  EncodedBitmapIndex index(&table->column(0), &table->existence(), &io,
+                           options);
   ASSERT_TRUE(index.Build().ok());
-  AuditReport report = InvariantAuditor::AuditIndex(index, table->NumRows());
-  EXPECT_TRUE(report.clean()) << report.ToString();
-  // The cold walk must actually fetch slices through the store.
-  EXPECT_GE(report.checks_run, index.NumSlices());
+  ASSERT_TRUE(engine->Sync().ok());
+  // Flip a payload byte of page 0 (slice B_0). The one-page pool holds
+  // the last slice written, so the audit must re-read page 0 from disk.
+  {
+    std::FILE* raw = std::fopen(engine->path().c_str(), "r+b");
+    ASSERT_NE(raw, nullptr);
+    ASSERT_EQ(std::fseek(raw, engine::PageFile::kHeaderBytes + 10, SEEK_SET),
+              0);
+    std::fputc(0xEE, raw);
+    std::fclose(raw);
+  }
+  const AuditReport report =
+      InvariantAuditor::AuditIndex(index, table->NumRows());
+  EXPECT_EQ(report.CountOf(ViolationKind::kPersistedBitmapCorrupt), 1u)
+      << report.ToString();
 }
 
 TEST(InvariantAuditorTest, DetectsStaleIndexAfterTableGrows) {
@@ -327,14 +360,14 @@ TEST(InvariantAuditorTest, ReportMergeAndToString) {
   AuditReport a = InvariantAuditor::AuditMappingParts(2, {1, 2, 1});
   const size_t a_checks = a.checks_run;
   const size_t a_violations = a.violations.size();
-  AuditReport b = InvariantAuditor::AuditRleRuns({3, 2}, 6);
+  AuditReport b = InvariantAuditor::AuditEwahWords({uint64_t{2} << 33}, 128);
   a.Merge(b);
   EXPECT_EQ(a.checks_run, a_checks + b.checks_run);
   EXPECT_EQ(a.violations.size(), a_violations + 1);
-  EXPECT_EQ(a.CountOf(ViolationKind::kRleRunSumMismatch), 1u);
+  EXPECT_EQ(a.CountOf(ViolationKind::kEwahFormatMismatch), 1u);
   const std::string rendered = a.ToString();
   EXPECT_NE(rendered.find("DuplicateCodeword"), std::string::npos);
-  EXPECT_NE(rendered.find("RleRunSumMismatch"), std::string::npos);
+  EXPECT_NE(rendered.find("EwahFormatMismatch"), std::string::npos);
 }
 
 }  // namespace

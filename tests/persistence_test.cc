@@ -56,7 +56,7 @@ TEST(PersistenceTest, StoredBitmapRoundTripEveryFormat) {
   }
   bits.Set(299);
   for (const BitmapFormat format :
-       {BitmapFormat::kPlain, BitmapFormat::kRle, BitmapFormat::kEwah}) {
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
     const StoredBitmap original = StoredBitmap::Make(bits, format);
     std::stringstream stream;
     ASSERT_TRUE(SaveStoredBitmap(stream, original).ok());
@@ -72,7 +72,7 @@ TEST(PersistenceTest, StoredBitmapRoundTripEveryFormat) {
 
 TEST(PersistenceTest, EmptyStoredBitmapRoundTrip) {
   for (const BitmapFormat format :
-       {BitmapFormat::kPlain, BitmapFormat::kRle, BitmapFormat::kEwah}) {
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
     const StoredBitmap original = StoredBitmap::Make(BitVector(), format);
     std::stringstream stream;
     ASSERT_TRUE(SaveStoredBitmap(stream, original).ok());
@@ -107,7 +107,7 @@ TEST(PersistenceTest, StoredBitmapTruncationRejected) {
     bits.Set(i);
   }
   for (const BitmapFormat format :
-       {BitmapFormat::kPlain, BitmapFormat::kRle, BitmapFormat::kEwah}) {
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
     std::stringstream stream;
     ASSERT_TRUE(
         SaveStoredBitmap(stream, StoredBitmap::Make(bits, format)).ok());
@@ -131,7 +131,7 @@ TEST(PersistenceTest, StoredBitmapTruncationFuzzEveryFormat) {
     }
   }
   for (const BitmapFormat format :
-       {BitmapFormat::kPlain, BitmapFormat::kRle, BitmapFormat::kEwah}) {
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
     std::stringstream stream;
     ASSERT_TRUE(
         SaveStoredBitmap(stream, StoredBitmap::Make(bits, format)).ok());
@@ -158,17 +158,17 @@ TEST(PersistenceTest, StoredBitmapTruncationFuzzEveryFormat) {
   }
 }
 
-TEST(PersistenceTest, StoredBitmapRleRunSumMismatchRejected) {
-  // Runs summing to a different total than the declared size must be
-  // rejected rather than silently re-normalized.
-  const StoredBitmap original = StoredBitmap::Make(
-      BitVector::FromString("0011100"), BitmapFormat::kRle);
-  std::stringstream stream;
-  ASSERT_TRUE(SaveStoredBitmap(stream, original).ok());
-  std::string bytes = stream.str();
-  bytes[8] = static_cast<char>(bytes[8] + 1);  // Bump the declared size.
-  std::stringstream bad(bytes);
-  EXPECT_EQ(LoadStoredBitmap(bad).status().code(),
+TEST(PersistenceTest, StoredBitmapRetiredRleTagRejected) {
+  // Tag 1 was a run-length format that is no longer supported: a stream
+  // carrying it must fail to load, not be misparsed as another format.
+  std::stringstream good;
+  ASSERT_TRUE(
+      SaveStoredBitmap(good, StoredBitmap::Make(BitVector(8), BitmapFormat::kPlain))
+          .ok());
+  std::string bytes = good.str();
+  bytes[4] = 1;  // The little-endian format tag.
+  std::stringstream retired(bytes);
+  EXPECT_EQ(LoadStoredBitmap(retired).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -193,10 +193,10 @@ TEST(PersistenceTest, StoredBitmapCorruptEwahWordsRejected) {
 TEST(PersistenceTest, StoredBitmapsShareStreamWithOtherSections) {
   std::stringstream stream;
   const BitVector plain = BitVector::FromString("1010");
-  const StoredBitmap rle =
-      StoredBitmap::Make(BitVector::FromString("000111"), BitmapFormat::kRle);
+  const StoredBitmap ewah =
+      StoredBitmap::Make(BitVector::FromString("000111"), BitmapFormat::kEwah);
   ASSERT_TRUE(SaveBitVector(stream, plain).ok());
-  ASSERT_TRUE(SaveStoredBitmap(stream, rle).ok());
+  ASSERT_TRUE(SaveStoredBitmap(stream, ewah).ok());
   const auto first = LoadBitVector(stream);
   const auto second = LoadStoredBitmap(stream);
   ASSERT_TRUE(first.ok());
@@ -255,6 +255,64 @@ TEST(PersistenceTest, EncodedIndexRoundTripAnswersIdentically) {
   const auto nulls = (*loaded)->EvaluateIsNull();
   ASSERT_TRUE(nulls.ok());
   EXPECT_EQ(*nulls, *original.EvaluateIsNull());
+}
+
+TEST(PersistenceTest, EncodedIndexRoundTripEveryFormatAndResidency) {
+  // Slices are saved in their stored form, so a compressed index reloads
+  // in its own format, from memory or from engine pages alike.
+  auto table = RandomIntTable(200, 13, 5);
+  for (const BitmapFormat format :
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
+    for (const bool on_engine : {false, true}) {
+      SCOPED_TRACE(std::string(BitmapFormatName(format)) +
+                   (on_engine ? " engine" : " resident"));
+      IoAccountant io;
+      auto engine = testing_util::ScratchEngine("persist", 8, &io);
+      ASSERT_NE(engine, nullptr);
+      EncodedBitmapIndexOptions options;
+      options.format = format;
+      options.engine = on_engine ? engine.get() : nullptr;
+      EncodedBitmapIndex original(&table->column(0), &table->existence(),
+                                  &io, options);
+      ASSERT_TRUE(original.Build().ok());
+
+      std::stringstream stream;
+      ASSERT_TRUE(SaveEncodedBitmapIndex(stream, original).ok());
+      EncodedBitmapIndexOptions load_options;
+      load_options.engine = options.engine;
+      const auto loaded =
+          LoadEncodedBitmapIndex(stream, &table->column(0),
+                                 &table->existence(), &io, load_options);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_EQ((*loaded)->Name(), original.Name());
+      EXPECT_EQ((*loaded)->NumVectors(), original.NumVectors());
+      EXPECT_EQ((*loaded)->SizeBytes(), original.SizeBytes());
+      for (int64_t v = 0; v < 13; ++v) {
+        const auto got = (*loaded)->EvaluateEquals(Value::Int(v));
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, ScanEquals(*table, table->column(0), v)) << v;
+      }
+    }
+  }
+}
+
+TEST(PersistenceTest, EncodedIndexOldStreamRejected) {
+  // The previous stream version ("EBII") held plain slices only; it must
+  // be rejected by its magic rather than misparsed.
+  auto table = IntTable({1, 2, 3});
+  IoAccountant io;
+  EncodedBitmapIndex original(&table->column(0), &table->existence(), &io);
+  ASSERT_TRUE(original.Build().ok());
+  std::stringstream stream;
+  ASSERT_TRUE(SaveEncodedBitmapIndex(stream, original).ok());
+  std::string bytes = stream.str();
+  bytes[0] = 'I';  // Little-endian "EBII".
+  std::stringstream old(bytes);
+  EXPECT_EQ(LoadEncodedBitmapIndex(old, &table->column(0),
+                                   &table->existence(), &io)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PersistenceTest, LoadedIndexSupportsAppends) {

@@ -144,7 +144,7 @@ TEST_F(RangeBasedBitmapIndexTest, CompressedFormatsMatchPlainRanges) {
   IoAccountant io;
   RangeBasedBitmapIndex plain(&table->column(0), &table->existence(), &io);
   ASSERT_TRUE(plain.Build().ok());
-  for (BitmapFormat format : {BitmapFormat::kRle, BitmapFormat::kEwah}) {
+  for (BitmapFormat format : {BitmapFormat::kEwah}) {
     RangeBasedBitmapIndexOptions options;
     options.format = format;
     RangeBasedBitmapIndex index(&table->column(0), &table->existence(),

@@ -9,9 +9,7 @@
 #include "exec/thread_pool.h"
 #include "storage/engine/buffer_pool.h"
 #include "storage/engine/page_file.h"
-#include "util/ewah_bitmap.h"
 #include "util/random.h"
-#include "util/rle_bitmap.h"
 
 namespace ebi {
 namespace engine {
@@ -320,20 +318,12 @@ TEST(BufferPoolTest, AsyncPrefetchDrainsBeforeDestruction) {
 // ------------------------------------------------------------ StorageEngine
 
 StoredBitmap MakeStored(const BitVector& bits, BitmapFormat format) {
-  switch (format) {
-    case BitmapFormat::kRle:
-      return StoredBitmap::FromRle(RleBitmap::Compress(bits));
-    case BitmapFormat::kEwah:
-      return StoredBitmap::FromEwah(EwahBitmap::Compress(bits));
-    case BitmapFormat::kPlain:
-      break;
-  }
-  return StoredBitmap::Make(bits, BitmapFormat::kPlain);
+  return StoredBitmap::Make(bits, format);
 }
 
 TEST(StorageEngineTest, PutGetRoundTripEveryFormat) {
   for (const BitmapFormat format :
-       {BitmapFormat::kPlain, BitmapFormat::kRle, BitmapFormat::kEwah}) {
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
     const std::string path = TempPath("se_roundtrip");
     StorageEngineOptions options;
     options.pool_pages = 4;
@@ -557,32 +547,69 @@ TEST(StorageEngineTest, VerifySliceCatchesOnDiskCorruption) {
 }
 
 TEST(StorageEngineTest, PageFaultsChargeTheAccountant) {
-  const std::string path = TempPath("se_charges");
-  IoAccountant io;
+  // Sparse bits: EWAH stores them in a fraction of the plain pages, and
+  // a cold read charges exactly the stored form.
+  const BitVector bits = RandomBits(1 << 17, 5, /*density=*/0.0002);
+  uint64_t plain_bytes = 0;
+  for (const BitmapFormat format :
+       {BitmapFormat::kPlain, BitmapFormat::kEwah}) {
+    const std::string path = TempPath("se_charges");
+    IoAccountant io;
+    StorageEngineOptions options;
+    options.pool_pages = 2;
+    options.io = &io;
+    options.remove_on_close = true;
+    auto engine = StorageEngine::Open(path, options);
+    ASSERT_TRUE(engine.ok());
+    const auto id = (*engine)->PutSlice(MakeStored(bits, format));
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE((*engine)->Sync().ok());
+    // Writes were charged symmetrically.
+    EXPECT_GT(io.stats().pages_written, 0u);
+    EXPECT_GT(io.stats().bytes_written, 0u);
+    // Evict the slice's pages so the next read faults them all.
+    ASSERT_TRUE(
+        (*engine)->PutSlice(MakeStored(RandomBits(60000, 6), format)).ok());
+    io.Reset();
+    // A cold read faults every extent page; bytes equal the stored form.
+    size_t faulted = 0;
+    ASSERT_TRUE((*engine)->GetSlice(*id, &faulted).ok());
+    const auto stored_bytes = (*engine)->SliceBytes(*id);
+    ASSERT_TRUE(stored_bytes.ok());
+    EXPECT_EQ(io.stats().bytes_read, *stored_bytes);
+    const auto pages = (*engine)->SlicePages(*id);
+    ASSERT_TRUE(pages.ok());
+    EXPECT_EQ(faulted, *pages);
+    EXPECT_EQ(io.stats().pages_read, *pages);
+    if (format == BitmapFormat::kPlain) {
+      plain_bytes = io.stats().bytes_read;
+    } else {
+      EXPECT_LT(io.stats().bytes_read, plain_bytes / 10);
+    }
+  }
+}
+
+TEST(StorageEngineTest, RejectsZeroPoolAndUnknownSlices) {
+  const std::string path = TempPath("se_bounds");
   StorageEngineOptions options;
-  options.pool_pages = 2;
-  options.io = &io;
+  options.pool_pages = 0;
   options.remove_on_close = true;
+  EXPECT_EQ(StorageEngine::Open(path, options).status().code(),
+            StatusCode::kInvalidArgument);
+  options.pool_pages = 2;
   auto engine = StorageEngine::Open(path, options);
   ASSERT_TRUE(engine.ok());
-  const auto id =
-      (*engine)->PutSlice(MakeStored(RandomBits(1 << 16, 5), BitmapFormat::kPlain));
+  EXPECT_EQ((*engine)->GetSlice(99).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ((*engine)->UpdateSlice(99, MakeStored(BitVector(8),
+                                                  BitmapFormat::kPlain))
+                .code(),
+            StatusCode::kOutOfRange);
+  // An empty bitmap is a valid slice.
+  const auto id = (*engine)->PutSlice(MakeStored(BitVector(), BitmapFormat::kPlain));
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE((*engine)->Sync().ok());
-  // Writes were charged symmetrically.
-  EXPECT_GT(io.stats().pages_written, 0u);
-  EXPECT_GT(io.stats().bytes_written, 0u);
-  io.Reset();
-  // A cold read faults every extent page; bytes equal the stored form.
-  size_t faulted = 0;
-  ASSERT_TRUE((*engine)->GetSlice(*id, &faulted).ok());
-  const auto stored_bytes = (*engine)->SliceBytes(*id);
-  ASSERT_TRUE(stored_bytes.ok());
-  EXPECT_EQ(io.stats().bytes_read, *stored_bytes);
-  const auto pages = (*engine)->SlicePages(*id);
-  ASSERT_TRUE(pages.ok());
-  EXPECT_EQ(faulted, *pages);
-  EXPECT_EQ(io.stats().pages_read, *pages);
+  const auto loaded = (*engine)->GetSlice(*id);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->size(), 0u);
 }
 
 }  // namespace

@@ -3,14 +3,37 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "storage/engine/storage_engine.h"
 #include "storage/table.h"
 #include "util/bitvector.h"
 #include "util/random.h"
 
 namespace ebi {
 namespace testing_util {
+
+/// Opens a scratch storage engine under the test temp dir (unlinked on
+/// close) whose pool holds `pool_pages` pages and charges `io`. `tag`
+/// names the file; keep it unique across test binaries, which may run
+/// concurrently. A `prefetch_pool` must outlive the engine.
+inline std::unique_ptr<engine::StorageEngine> ScratchEngine(
+    const std::string& tag, size_t pool_pages, IoAccountant* io,
+    exec::ThreadPool* prefetch_pool = nullptr) {
+  static int opened = 0;
+  engine::StorageEngineOptions options;
+  options.pool_pages = pool_pages;
+  options.io = io;
+  options.prefetch_pool = prefetch_pool;
+  options.remove_on_close = true;
+  auto engine = engine::StorageEngine::Open(
+      std::string(::testing::TempDir()) + "/ebi_" + tag + "_" +
+          std::to_string(opened++) + ".bin",
+      options);
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return engine.ok() ? std::move(engine).value() : nullptr;
+}
 
 /// Builds a one-column int64 table from explicit values (INT64_MIN means
 /// NULL for brevity in tests).
