@@ -1,9 +1,11 @@
 // google-benchmark microbenchmarks for the bitmap substrate: the logical
 // operations every bitmap index in the library bottoms out in, plus
-// compressed-form operations and the exact minimizer.
+// compressed-form operations, the exact minimizer and the blocked cover
+// evaluator.
 
 #include <benchmark/benchmark.h>
 
+#include "boolean/cover.h"
 #include "boolean/reduction.h"
 #include "util/bitvector.h"
 #include "util/ewah_bitmap.h"
@@ -112,6 +114,52 @@ void BM_ReduceConsecutiveInList(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReduceConsecutiveInList)->RangeMultiplier(4)->Range(4, 1024);
+
+void BM_EvaluateCover(benchmark::State& state) {
+  // The combine half of an encoded IN selection, apart from any serving
+  // tier: a 1000-value column under the sequential 10-bit mapping (value
+  // v has code v; codes 1000..1023 are don't-cares), and the reduced
+  // cover of `delta` random values evaluated over n rows.
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t delta = static_cast<size_t>(state.range(1));
+  constexpr int kWidth = 10;
+  constexpr uint64_t kValues = 1000;
+  Rng rng(42);
+  std::vector<BitVector> slices(kWidth, BitVector(n));
+  for (size_t row = 0; row < n; ++row) {
+    const uint64_t code = rng.UniformInt(kValues);
+    for (int i = 0; i < kWidth; ++i) {
+      if ((code >> i) & 1) {
+        slices[static_cast<size_t>(i)].Set(row);
+      }
+    }
+  }
+  std::vector<uint64_t> values(kValues);
+  for (uint64_t v = 0; v < kValues; ++v) {
+    values[v] = v;
+  }
+  rng.Shuffle(&values);
+  const std::vector<uint64_t> onset(values.begin(), values.begin() + delta);
+  std::vector<uint64_t> dontcare;
+  for (uint64_t code = kValues; code < (uint64_t{1} << kWidth); ++code) {
+    dontcare.push_back(code);
+  }
+  const Cover cover = ReduceRetrievalFunction(onset, dontcare, kWidth);
+  std::vector<const BitVector*> ptrs;
+  for (const BitVector& slice : slices) {
+    ptrs.push_back(&slice);
+  }
+  for (auto _ : state) {
+    BitVector out = EvaluateCover(cover, ptrs, n);
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["cubes"] = static_cast<double>(cover.size());
+  state.counters["literals"] = static_cast<double>(TotalLiterals(cover));
+  state.counters["vectors"] = static_cast<double>(DistinctVariables(cover));
+}
+BENCHMARK(BM_EvaluateCover)
+    ->ArgsProduct({{1 << 16, 1 << 20, 1 << 22}, {8, 32, 128}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ebi

@@ -1,6 +1,10 @@
 #include "boolean/cover.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
+
+#include "util/kernels/kernels.h"
 
 namespace ebi {
 
@@ -47,62 +51,120 @@ std::string CoverToString(const Cover& cover, int k) {
   return out;
 }
 
+namespace {
+
+/// One literal of a cube: the slice it reads and its polarity.
+struct Literal {
+  const BitVector* slice;
+  bool positive;
+};
+
+/// The words of `slice` inside the block of `len` words starting at word
+/// `begin`, and their count in `*have` (< len when the slice ends inside
+/// the block). A slice shorter than the result is zero-extended: words
+/// past its end are never read.
+const uint64_t* SliceBlock(const BitVector& slice, size_t begin, size_t len,
+                           size_t* have) {
+  const size_t words = slice.NumWords();
+  *have = words <= begin ? 0 : std::min(len, words - begin);
+  return *have == 0 ? nullptr : slice.words().data() + begin;
+}
+
+/// dst[0..len) = the AND of `count` literals over one block, positive
+/// literals first: one fused and_many over all of them (a positive slice
+/// that ends inside the block zeroes the rest), then one andnot per
+/// negated literal. A cube of negated literals only starts from all ones.
+void AndChain(const kernels::BitmapKernels& k, const Literal* literals,
+              size_t count, size_t begin, size_t len, uint64_t* dst) {
+  std::array<const uint64_t*, 64> positives;
+  size_t num_positive = 0;
+  size_t span = len;
+  size_t j = 0;
+  for (; j < count && literals[j].positive; ++j) {
+    size_t have = 0;
+    positives[num_positive++] =
+        SliceBlock(*literals[j].slice, begin, len, &have);
+    span = std::min(span, have);
+  }
+  if (num_positive == 0) {
+    k.fill_words(dst, ~uint64_t{0}, len);
+  } else {
+    if (span > 0) {
+      k.and_many(dst, positives.data(), num_positive, span);
+    }
+    k.fill_words(dst + span, 0, len - span);
+  }
+  for (; j < count; ++j) {
+    size_t have = 0;
+    const uint64_t* src = SliceBlock(*literals[j].slice, begin, len, &have);
+    k.andnot_words(dst, src, have);
+  }
+}
+
+}  // namespace
+
 BitVector EvaluateCover(const Cover& cover,
                         const std::vector<const BitVector*>& slices,
                         size_t n) {
-  BitVector result(n, false);
-  // Evaluate each cube to a term, then OR all terms in one fused pass
-  // instead of a chain of binary ORs. Cubes that are a single positive
-  // literal alias their slice directly and need no materialized term.
-  std::vector<BitVector> terms;
-  terms.reserve(cover.size());
-  std::vector<const BitVector*> operands;
-  operands.reserve(cover.size());
+  // Flatten every cube into its literal run once, positive literals
+  // first (AndChain fuses them into one pass).
+  std::vector<Literal> literals;
+  std::vector<size_t> cube_ends;
+  cube_ends.reserve(cover.size());
   for (const Cube& cube : cover) {
     if (cube.mask == 0) {
       // Constant-true cube: the whole expression is a tautology.
-      result.SetAll();
-      return result;
+      return BitVector(n, true);
     }
-    if (std::has_single_bit(cube.mask) && (cube.values & cube.mask) != 0) {
-      const size_t i = static_cast<size_t>(std::countr_zero(cube.mask));
-      if (i < slices.size() && slices[i] != nullptr &&
-          slices[i]->size() == n) {
-        operands.push_back(slices[i]);
-        continue;
-      }
-    }
-    BitVector term;
-    bool first = true;
-    for (size_t i = 0; i < slices.size(); ++i) {
-      const uint64_t bit = uint64_t{1} << i;
-      if ((cube.mask & bit) == 0) {
-        continue;
-      }
-      const bool positive = (cube.values & bit) != 0;
-      if (first) {
-        term = *slices[i];
-        if (!positive) {
-          term.FlipAll();
+    const size_t cube_begin = literals.size();
+    for (const bool positive : {true, false}) {
+      for (uint64_t rest = cube.mask; rest != 0; rest &= rest - 1) {
+        const size_t i = static_cast<size_t>(std::countr_zero(rest));
+        const bool set = ((cube.values >> i) & 1) != 0;
+        if (i < slices.size() && set == positive) {
+          literals.push_back({slices[i], positive});
         }
-        first = false;
-      } else if (positive) {
-        term.AndWith(*slices[i]);
-      } else {
-        term.AndNotWith(*slices[i]);
       }
     }
-    if (!first) {
-      terms.push_back(std::move(term));
+    if (literals.size() > cube_begin) {
+      cube_ends.push_back(literals.size());
     }
   }
-  // `terms` is fully built before any pointer into it is taken, so the
-  // vector cannot reallocate under the operand list.
-  for (const BitVector& term : terms) {
-    operands.push_back(&term);
+  if (cube_ends.empty()) {
+    return BitVector(n);
   }
-  result.OrWithMany(operands);
-  return result;
+  // One sweep over the slices, a block at a time: every cube's AND chain
+  // runs in a scratch block that stays in L1 and is ORed into the result
+  // block, so each referenced slice streams from memory once (the
+  // paper's c_e) instead of once per literal that names it. The result
+  // grows one block at a time and each block is written only while it
+  // is in cache; FromWords masks the tail once at the end.
+  const kernels::BitmapKernels& k = kernels::Active();
+  const size_t words = (n + 63) / 64;
+  std::vector<uint64_t> out;
+  out.reserve(words);
+  std::array<uint64_t, kernels::kBlockWords> scratch;
+  for (size_t begin = 0; begin < words; begin += kernels::kBlockWords) {
+    const size_t len = std::min(kernels::kBlockWords, words - begin);
+    out.resize(begin + len);
+    uint64_t* const dst = out.data() + begin;
+    // The first cube's chain is built in the result block itself.
+    AndChain(k, literals.data(), cube_ends[0], begin, len, dst);
+    for (size_t c = 1; c < cube_ends.size(); ++c) {
+      const Literal* first = literals.data() + cube_ends[c - 1];
+      const size_t count = cube_ends[c] - cube_ends[c - 1];
+      if (count == 1 && first->positive) {
+        // A single positive literal ORs straight from its slice.
+        size_t have = 0;
+        const uint64_t* src = SliceBlock(*first->slice, begin, len, &have);
+        k.or_words(dst, src, have);
+        continue;
+      }
+      AndChain(k, first, count, begin, len, scratch.data());
+      k.or_words(dst, scratch.data(), len);
+    }
+  }
+  return BitVector::FromWords(n, std::move(out));
 }
 
 bool CoversEquivalent(const Cover& a, const Cover& b, int k) {

@@ -35,11 +35,18 @@ std::string CoverToString(const Cover& cover, int k);
 
 /// Evaluates the expression over bitmap slices: slices[i] points at the
 /// bitmap vector for variable B_i, and may be nullptr when the cover does
-/// not reference B_i; all referenced slices must have length `n`. Returns
-/// the result bitmap (bit j set iff the expression is 1 on tuple j's code).
+/// not reference B_i. Returns the `n`-bit result bitmap (bit j set iff the
+/// expression is 1 on tuple j's code). A referenced slice shorter than `n`
+/// reads as zero-extended and is never read past its end; bits of a longer
+/// one past `n` are ignored. The empty cover yields all zeros and a
+/// tautology cube all ones.
 ///
-/// Evaluation uses one negation-aware AND chain per cube and ORs cube
-/// results together, exactly the plan a bitmap executor would run.
+/// Evaluation is one cache-blocked sweep (DESIGN.md §3): per block of
+/// kernels::kBlockWords words, each cube's negation-aware AND chain is
+/// built in an L1-resident scratch block and ORed into the result block.
+/// Each referenced slice is read from memory once and the result written
+/// once, so memory traffic is (c_e + 1) slice lengths, not one slice
+/// length per literal.
 BitVector EvaluateCover(const Cover& cover,
                         const std::vector<const BitVector*>& slices,
                         size_t n);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <utility>
 
 #include "encoding/encoders.h"
@@ -347,6 +348,10 @@ Result<Cover> EncodedBitmapIndex::CoverForIds(
 
 Result<BitVector> EncodedBitmapIndex::EvaluateCoverCharged(
     const Cover& cover) {
+  static obs::Histogram* eval_ms =
+      obs::MetricsRegistry::Global().GetHistogram(
+          obs::kMetricIndexCoverEvalMs, obs::MetricsRegistry::LatencyBounds());
+  const auto started = std::chrono::steady_clock::now();
   obs::ScopedSpan span("cover.eval");
   const IoScope scope(io_);
   const uint64_t vars = VariablesOf(cover);
@@ -389,6 +394,9 @@ Result<BitVector> EncodedBitmapIndex::EvaluateCoverCharged(
     span.Attr("existence_and", existence_and);
     span.AttrIo(scope.Delta());
   }
+  eval_ms->Observe(std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - started)
+                       .count());
   return result;
 }
 

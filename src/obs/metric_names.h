@@ -44,12 +44,18 @@ inline constexpr char kMetricWalTornTails[] = "ebi.wal.torn_tails";
 inline constexpr char kMetricReductionCount[] = "ebi.reduction.count";
 inline constexpr char kMetricReductionTermsIn[] = "ebi.reduction.terms_in";
 inline constexpr char kMetricReductionTermsOut[] = "ebi.reduction.terms_out";
+/// Wall time of one ReduceRetrievalFunction call: the "reduce" half of an
+/// encoded selection's reduce/combine split.
+inline constexpr char kMetricReductionMs[] = "ebi.reduction.ms";
 
 // Full slice-set rewrites of compressed encoded indexes (decompress-
 // modify-recompress cycles). The batched maintenance path exists to keep
 // this at one per batch instead of one per appended row.
 inline constexpr char kMetricIndexSliceRewrites[] =
     "ebi.index.slice_rewrites";
+/// Wall time of one EncodedBitmapIndex::EvaluateCoverCharged call (slice
+/// fetch plus the blocked cover sweep): the "combine" half of the split.
+inline constexpr char kMetricIndexCoverEvalMs[] = "ebi.index.cover_eval_ms";
 
 // --- Serving layer (src/serve, DESIGN.md §9/§11).
 inline constexpr char kMetricServeSubmitted[] = "ebi.serve.submitted";

@@ -77,12 +77,9 @@ Result<SelectionResult> SelectionExecutor::Select(
   obs::ScopedSpan span("executor.select");
   const auto started = std::chrono::steady_clock::now();
   const IoScope scope(io_);
-  BitVector rows(table_->NumRows(), true);
-  if (predicates.empty()) {
-    rows.AndWith(table_->existence());
-  }
-  // Evaluate every predicate first, then intersect all result vectors in
-  // one fused kernel pass instead of a chain of binary ANDs.
+  // Evaluate every predicate first, then intersect all result vectors and
+  // count the survivors in one blocked pass instead of a chain of binary
+  // ANDs followed by a separate popcount pass.
   std::vector<BitVector> evaluated;
   evaluated.reserve(predicates.size());
   std::vector<PredicateStat> stats;
@@ -101,20 +98,20 @@ Result<SelectionResult> SelectionExecutor::Select(
     }
     evaluated.push_back(std::move(one));
   }
-  if (!evaluated.empty()) {
-    rows = std::move(evaluated.front());
+  SelectionResult result;
+  if (evaluated.empty()) {
+    // No predicates: every existing row qualifies.
+    result.rows = table_->existence();
+    result.count = result.rows.Count();
+  } else {
+    result.rows = std::move(evaluated.front());
     std::vector<const BitVector*> rest;
     rest.reserve(evaluated.size() - 1);
     for (size_t i = 1; i < evaluated.size(); ++i) {
       rest.push_back(&evaluated[i]);
     }
-    if (!rest.empty()) {
-      rows.AndWithMany(rest);
-    }
+    result.rows.AndWithMany(rest, &result.count);
   }
-  SelectionResult result;
-  result.count = rows.Count();
-  result.rows = std::move(rows);
   result.io = scope.Delta();
   result.predicate_stats = std::move(stats);
   obs::RecordQuery(result.io,

@@ -169,26 +169,43 @@ BitVector& BitVector::OrWithMany(
 }
 
 BitVector& BitVector::AndWithMany(
-    const std::vector<const BitVector*>& operands) {
+    const std::vector<const BitVector*>& operands, size_t* count) {
+  // One blocked sweep: each block is ANDed over every operand (this
+  // vector rides along as srcs[0]) and, when asked, popcounted while it
+  // is still in cache. A shorter operand is zero-extended, so every word
+  // past the shortest one ANDs to zero; a longer one is read only up to
+  // this vector's length. AND only clears bits, so the tail stays clean.
   std::vector<const uint64_t*> srcs;
   srcs.reserve(operands.size() + 1);
   srcs.push_back(words_.data());
+  size_t shared = words_.size();
   for (const BitVector* operand : operands) {
     assert(operand != nullptr && "AndWithMany null operand");
     assert(operand->size_ == size_ && "AndWithMany operand size mismatch");
-    if (operand->words_.size() == words_.size()) {
-      srcs.push_back(operand->words_.data());
+    srcs.push_back(operand->words_.data());
+    shared = std::min(shared, operand->words_.size());
+  }
+  std::vector<const uint64_t*> block(srcs.size());
+  size_t total = 0;
+  for (size_t begin = 0; begin < words_.size();
+       begin += kernels::kBlockWords) {
+    const size_t len = std::min(kernels::kBlockWords, words_.size() - begin);
+    const size_t have = shared <= begin ? 0 : std::min(len, shared - begin);
+    uint64_t* const dst = words_.data() + begin;
+    if (have > 0 && srcs.size() > 1) {
+      for (size_t j = 0; j < srcs.size(); ++j) {
+        block[j] = srcs[j] + begin;
+      }
+      K().and_many(dst, block.data(), block.size(), have);
+    }
+    K().fill_words(dst + have, 0, len - have);
+    if (count != nullptr) {
+      total += K().popcount_words(dst, len);
     }
   }
-  if (srcs.size() > 1) {
-    K().and_many(words_.data(), srcs.data(), srcs.size(), words_.size());
+  if (count != nullptr) {
+    *count = total;
   }
-  for (const BitVector* operand : operands) {
-    if (operand->words_.size() != words_.size()) {
-      AndWith(*operand);
-    }
-  }
-  MaskTail();
   DebugCheckTail();
   return *this;
 }

@@ -91,7 +91,12 @@ class BitVector {
   /// match size() (asserted in debug builds; an operand of a different
   /// size falls back to the binary op's zero-extension semantics).
   BitVector& OrWithMany(const std::vector<const BitVector*>& operands);
-  BitVector& AndWithMany(const std::vector<const BitVector*>& operands);
+  /// Runs as one sweep of kernels::kBlockWords-word blocks; when `count`
+  /// is non-null it receives Count() of the result, popcounted block by
+  /// block while each block is still in cache (the conjunctive-selection
+  /// AND-and-count of SelectionExecutor::Select).
+  BitVector& AndWithMany(const std::vector<const BitVector*>& operands,
+                         size_t* count = nullptr);
 
   /// Calls `fn(index)` for every set bit in increasing order.
   template <typename Fn>

@@ -60,6 +60,12 @@ struct BitmapKernels {
                    size_t n);
 };
 
+/// Word count of one block in the blocked multi-operand sweeps
+/// (EvaluateCover, BitVector::AndWithMany): 8 KiB, so a block of the
+/// result plus one scratch block stay in L1 while every operand is read
+/// through it once. A compile-time constant, not a tuning knob.
+inline constexpr size_t kBlockWords = 1024;
+
 /// The backend the running CPU supports best, selected exactly once (on
 /// first call, thread-safe) in priority order avx512 > avx2 > neon >
 /// scalar. The environment variable EBI_FORCE_KERNEL overrides the pick

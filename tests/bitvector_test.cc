@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/kernels/kernels.h"
 #include "util/random.h"
 
 namespace ebi {
@@ -246,7 +247,9 @@ TEST(BitVectorTailTest, OrWithLongerOperandDoesNotPollutePadding) {
 
 TEST(BitVectorTailTest, FusedManyOpsMatchChainedBinaryOps) {
   Rng rng(72);
-  for (size_t n : {size_t{64}, size_t{100}, size_t{4097}}) {
+  // The last size spans several blocks of the blocked AND sweep.
+  for (size_t n : {size_t{64}, size_t{100}, size_t{4097},
+                   3 * kernels::kBlockWords * 64 + 5}) {
     std::vector<BitVector> operands(5, BitVector(n));
     for (BitVector& v : operands) {
       for (size_t i = 0; i < n; ++i) {
@@ -268,12 +271,14 @@ TEST(BitVectorTailTest, FusedManyOpsMatchChainedBinaryOps) {
     EXPECT_EQ(fused_or, chained_or) << "n=" << n;
 
     BitVector fused_and(n, true);
-    fused_and.AndWithMany(ptrs);
+    size_t count = 0;
+    fused_and.AndWithMany(ptrs, &count);
     BitVector chained_and(n, true);
     for (const BitVector& v : operands) {
       chained_and.AndWith(v);
     }
     EXPECT_EQ(fused_and, chained_and) << "n=" << n;
+    EXPECT_EQ(count, chained_and.Count()) << "n=" << n;
   }
 }
 

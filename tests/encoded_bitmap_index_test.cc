@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "util/bit_util.h"
 
@@ -70,6 +71,22 @@ TEST_F(EncodedBitmapIndexTest, InListMatchesScan) {
   expected.OrWith(ScanEquals(*table_, table_->column(0), 2));
   expected.OrWith(ScanEquals(*table_, table_->column(0), 5));
   EXPECT_EQ(*result, expected);
+}
+
+TEST_F(EncodedBitmapIndexTest, EvaluateInFeedsReduceAndCombineHistograms) {
+  // The reduce/combine split is readable from the exporter: one IN
+  // selection is one reduction and one cover evaluation.
+  Init(IntTable({0, 1, 2, 3, 4, 5, 0, 2, 4}));
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::Histogram* reduce = registry.GetHistogram(
+      obs::kMetricReductionMs, obs::MetricsRegistry::LatencyBounds());
+  const obs::Histogram* combine = registry.GetHistogram(
+      obs::kMetricIndexCoverEvalMs, obs::MetricsRegistry::LatencyBounds());
+  const uint64_t reduce_before = reduce->TotalCount();
+  const uint64_t combine_before = combine->TotalCount();
+  ASSERT_TRUE(index_->EvaluateIn({Value::Int(0), Value::Int(2)}).ok());
+  EXPECT_EQ(reduce->TotalCount(), reduce_before + 1);
+  EXPECT_EQ(combine->TotalCount(), combine_before + 1);
 }
 
 TEST_F(EncodedBitmapIndexTest, RangeMatchesScan) {

@@ -4,6 +4,8 @@
 
 #include "index/encoded_bitmap_index.h"
 #include "index/simple_bitmap_index.h"
+#include "util/kernels/kernels.h"
+#include "util/random.h"
 
 namespace ebi {
 namespace {
@@ -159,6 +161,60 @@ TEST_F(ExecutorTest, DnfIoAccumulatesAcrossBranches) {
       executor_->Select({Predicate::Eq("product", Value::Int(1))});
   ASSERT_TRUE(single.ok());
   EXPECT_GE(result->io.vectors_read, 2 * single->io.vectors_read);
+}
+
+TEST(ExecutorBlockedTest, ConjunctionsAcrossBlocksMatchScan) {
+  // A row count that is no multiple of 64 and spans several blocks of the
+  // blocked AND-and-count pass, with deleted rows scattered through it.
+  const size_t n = 3 * kernels::kBlockWords * 64 + 37;
+  Table table("WIDE");
+  const std::vector<std::string> columns = {"a", "b", "c"};
+  for (const std::string& name : columns) {
+    ASSERT_TRUE(table.AddColumn(name, Column::Type::kInt64).ok());
+  }
+  Rng rng(64);
+  for (size_t row = 0; row < n; ++row) {
+    ASSERT_TRUE(table
+                    .AppendRow({Value::Int(static_cast<int64_t>(
+                                    rng.UniformInt(40))),
+                                Value::Int(static_cast<int64_t>(
+                                    rng.UniformInt(6))),
+                                Value::Int(static_cast<int64_t>(
+                                    rng.UniformInt(3)))})
+                    .ok());
+  }
+  IoAccountant io;
+  std::vector<std::unique_ptr<EncodedBitmapIndex>> indexes;
+  SelectionExecutor executor(&table, &io);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    indexes.push_back(std::make_unique<EncodedBitmapIndex>(
+        &table.column(c), &table.existence(), &io));
+    ASSERT_TRUE(indexes.back()->Build().ok());
+    executor.RegisterIndex(columns[c], indexes.back().get());
+  }
+  for (size_t row = 5; row < n; row += 997) {
+    ASSERT_TRUE(table.DeleteRow(row).ok());
+    for (const auto& index : indexes) {
+      ASSERT_TRUE(index->MarkDeleted(row).ok());
+    }
+  }
+  const std::vector<std::vector<Predicate>> queries = {
+      {},
+      {Predicate::Between("a", 3, 30)},
+      {Predicate::Between("a", 3, 30),
+       Predicate::In("b", {Value::Int(0), Value::Int(2), Value::Int(5)})},
+      {Predicate::Between("a", 3, 30),
+       Predicate::In("b", {Value::Int(0), Value::Int(2), Value::Int(5)}),
+       Predicate::NotEq("c", Value::Int(1))}};
+  for (const std::vector<Predicate>& query : queries) {
+    const auto indexed = executor.Select(query);
+    const auto scanned = executor.SelectByScan(query);
+    ASSERT_TRUE(indexed.ok());
+    ASSERT_TRUE(scanned.ok());
+    EXPECT_EQ(indexed->rows, *scanned) << query.size() << " conjuncts";
+    EXPECT_EQ(indexed->count, scanned->Count()) << query.size();
+    EXPECT_TRUE(indexed->rows.TailIsClean());
+  }
 }
 
 TEST_F(ExecutorTest, PredicateToString) {
