@@ -27,7 +27,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 for backend in scalar avx2 avx512 neon; do
   echo "=== EBI_FORCE_KERNEL=$backend ===" | tee -a test_output.txt
   EBI_FORCE_KERNEL="$backend" ctest --test-dir build \
-    -R 'kernel_differential|bitvector|ewah|stored_bitmap|bitmap_kernel_edge|cover|executor|simple_bitmap_index|encoded_bitmap_index|sharded_index|invariant_auditor' \
+    -R 'kernel_differential|bitvector|ewah|stored_bitmap|bitmap_kernel_edge|cover|executor|simple_bitmap_index|encoded_bitmap_index|invariant_auditor' \
     2>&1 | tee -a test_output.txt
 done
 
@@ -39,7 +39,7 @@ cmake --build build-asan
 ctest --test-dir build-asan 2>&1 | tee -a test_output.txt
 
 # ThreadSanitizer pass over the concurrency surface: the thread pool, the
-# segmented/sharded execution path, the shared atomic accountant, the
+# shared atomic accountant, the
 # serving layer (snapshot pins + combining appends under real races), the
 # sharded cluster tier (scatter-gather + routed appends + hedging), the
 # storage engine (buffer-pool pins + concurrent WAL appends), and
@@ -49,7 +49,7 @@ cmake -B build-tsan -G Ninja -DCMAKE_BUILD_TYPE=Debug \
   -DEBI_SANITIZE=thread
 cmake --build build-tsan
 ctest --test-dir build-tsan \
-  -R 'thread_pool|lock_rank|segmented_table|sharded_index|parallel_executor|io_accountant|query_service|serve_stress|cluster_service|cluster_stress|telemetry|workload_recorder|storage_engine|wal_recovery' \
+  -R 'thread_pool|lock_rank|io_accountant|query_service|serve_stress|cluster_service|cluster_stress|telemetry|workload_recorder|storage_engine|wal_recovery' \
   2>&1 | tee -a test_output.txt
 # Engine-resident encoded index: concurrent readers over a pool smaller
 # than the slice set, so pages are evicted while they fetch.

@@ -13,13 +13,11 @@
 namespace ebi {
 namespace exec {
 
-/// A fixed-size worker pool for data-parallel query execution.
+/// A fixed-size worker pool.
 ///
-/// The execution engine partitions work by row range (one task per table
-/// segment) and the pool is the only place threads are created: segments,
-/// shards and executors all borrow it, so total parallelism is bounded by
-/// one knob. Tasks are plain closures; results travel through caller-owned
-/// slots, never through the pool.
+/// QueryService runs its requests on one, and the storage engine's buffer
+/// pool borrows one for asynchronous prefetch. Tasks are plain closures;
+/// results travel through caller-owned slots, never through the pool.
 ///
 /// Shutdown is graceful: the destructor lets every already-submitted task
 /// finish before joining the workers, so a caller blocked in ParallelFor
@@ -46,18 +44,13 @@ class ThreadPool {
   /// Runs `body(i)` for every i in [begin, end) on the pool and blocks
   /// until all iterations finish. Iterations may run in any order and
   /// concurrently; callers that need a deterministic result must merge
-  /// per-iteration outputs by index after the call returns (the pattern
-  /// ShardedIndex and ParallelSelectionExecutor use).
+  /// per-iteration outputs by index after the call returns.
   ///
   /// Must not be called from inside a pool task: the caller blocks on the
   /// barrier and with every worker blocked the same way the pool would
   /// deadlock.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body);
-
-  /// The hardware thread count, or 1 when it cannot be determined — the
-  /// default pool size for benches and tools.
-  static size_t DefaultThreads();
 
  private:
   void WorkerLoop();

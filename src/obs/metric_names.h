@@ -80,6 +80,15 @@ inline constexpr char kMetricServeStagePlanMs[] = "ebi.serve.stage.plan_ms";
 inline constexpr char kMetricServeStageExecuteMs[] =
     "ebi.serve.stage.execute_ms";
 
+// Per-stage latency attribution of one combined append batch: the WAL
+// append + fsync (durable mode only), index maintenance (the successor
+// snapshot's CloneWithRows), and the publish with its reclaim accounting.
+inline constexpr char kMetricServeAppendWalMs[] = "ebi.serve.append.wal_ms";
+inline constexpr char kMetricServeAppendMaintainMs[] =
+    "ebi.serve.append.maintain_ms";
+inline constexpr char kMetricServeAppendPublishMs[] =
+    "ebi.serve.append.publish_ms";
+
 // --- Sharded serve tier (src/serve/cluster, DESIGN.md §14). One cluster
 // query fans out to its owning shards; hedges are duplicate requests
 // issued to a replica after the p99-derived delay, "won" when the

@@ -15,10 +15,9 @@
 
 namespace ebi {
 
-// IndexKind, IndexKindFromName, IndexKindName and MakeSecondaryIndex
-// moved to index/index_factory.h so the index layer (ShardedIndex) can
-// build shards through the same path; this include keeps the old names
-// visible to existing users of this header.
+// IndexKind, IndexKindFromName, IndexKindName and MakeSecondaryIndex live
+// in index/index_factory.h, included above so users of this header see
+// them.
 
 /// Owns every index of one table and keeps the moving parts wired
 /// together: CREATE INDEX builds the structure and registers it with both

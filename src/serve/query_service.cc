@@ -130,6 +130,29 @@ obs::Histogram* ExecuteHistogram() {
   return histogram;
 }
 
+obs::Histogram* AppendWalHistogram() {
+  static obs::Histogram* histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          obs::kMetricServeAppendWalMs, obs::MetricsRegistry::LatencyBounds());
+  return histogram;
+}
+
+obs::Histogram* AppendMaintainHistogram() {
+  static obs::Histogram* histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          obs::kMetricServeAppendMaintainMs,
+          obs::MetricsRegistry::LatencyBounds());
+  return histogram;
+}
+
+obs::Histogram* AppendPublishHistogram() {
+  static obs::Histogram* histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          obs::kMetricServeAppendPublishMs,
+          obs::MetricsRegistry::LatencyBounds());
+  return histogram;
+}
+
 /// "a = 3 AND b IN {1, 2}" — the query summary slow-log entries carry.
 std::string PredicatesText(const std::vector<Predicate>& predicates) {
   std::string out;
@@ -269,11 +292,8 @@ Status QueryService::Start(std::unique_ptr<Table> table,
       return recovered;
     }
   }
-  SnapshotOptions snapshot_options;
-  snapshot_options.segment_rows = options_.segment_rows;
-  snapshot_options.shard_pool = options_.shard_pool;
   Result<std::unique_ptr<DatabaseSnapshot>> snapshot = DatabaseSnapshot::Create(
-      std::move(table), std::move(specs), /*epoch=*/0, snapshot_options);
+      std::move(table), std::move(specs), /*epoch=*/0);
   if (!snapshot.ok()) {
     start_guard_.store(false, std::memory_order_seq_cst);
     return snapshot.status();
@@ -691,6 +711,7 @@ Status QueryService::CombineAndPublish(std::vector<StagedAppend>& batch,
   // between here and Publish, recovery replays the batch from the log.
   Status wal_status = Status::OK();
   if (wal_ != nullptr && !rows.empty()) {
+    const Clock::time_point wal_start = Clock::now();
     const std::vector<uint8_t> payload =
         engine::EncodeRowBatch(pin->NumRows(), rows);
     const Result<uint64_t> lsn =
@@ -698,13 +719,20 @@ Status QueryService::CombineAndPublish(std::vector<StagedAppend>& batch,
     if (!lsn.ok()) {
       wal_status = lsn.status();
     }
+    AppendWalHistogram()->Observe(MsBetween(wal_start, Clock::now()));
   }
 
+  const Clock::time_point maintain_start = Clock::now();
   Result<std::unique_ptr<DatabaseSnapshot>> next =
       wal_status.ok() ? pin->CloneWithRows(rows, *next_epoch)
                       : Result<std::unique_ptr<DatabaseSnapshot>>(wal_status);
+  if (wal_status.ok()) {
+    AppendMaintainHistogram()->Observe(
+        MsBetween(maintain_start, Clock::now()));
+  }
   const Status status = next.ok() ? Status::OK() : next.status();
   if (status.ok()) {
+    const Clock::time_point publish_start = Clock::now();
     {
       const MutexLock plock(published_mu_);
       if (published_row_counts_.size() <= *next_epoch) {
@@ -722,6 +750,7 @@ Status QueryService::CombineAndPublish(std::vector<StagedAppend>& batch,
     if (reclaimed > reported) {
       ReclaimedCounter()->Increment(reclaimed - reported);
     }
+    AppendPublishHistogram()->Observe(MsBetween(publish_start, Clock::now()));
   }
   pin.Release();
   return status;

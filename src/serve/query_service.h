@@ -69,13 +69,6 @@ struct ServeOptions {
   /// Concurrent-reader capacity of the snapshot manager. Keep at least
   /// queue_depth + appenders; Acquire spins when all slots are claimed.
   size_t reader_slots = SnapshotManager::kDefaultReaderSlots;
-  /// Forwarded to SnapshotOptions: > 0 serves through sharded snapshots.
-  size_t segment_rows = 0;
-  /// Pool sharded evaluation fans out on. Must be a different pool from
-  /// the service's own (requests run on pool workers, and a nested
-  /// ParallelFor on the running pool deadlocks); required iff
-  /// segment_rows > 0.
-  exec::ThreadPool* shard_pool = nullptr;
   /// Production telemetry (sampled tracing, slow-query log, workload
   /// recorder, periodic exporter).
   ServeTelemetryOptions telemetry;

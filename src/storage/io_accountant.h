@@ -149,19 +149,6 @@ class IoAccountant {
     vectors_read_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Charges a whole pre-aggregated delta — how per-segment accountant
-  /// deltas are merged back into the query's accountant after a parallel
-  /// fan-out. Pages are taken as counted by the segment accountants, not
-  /// recomputed from bytes.
-  void ChargeStats(const IoStats& stats) {
-    vectors_read_.fetch_add(stats.vectors_read, std::memory_order_relaxed);
-    pages_read_.fetch_add(stats.pages_read, std::memory_order_relaxed);
-    bytes_read_.fetch_add(stats.bytes_read, std::memory_order_relaxed);
-    nodes_read_.fetch_add(stats.nodes_read, std::memory_order_relaxed);
-    bytes_written_.fetch_add(stats.bytes_written, std::memory_order_relaxed);
-    pages_written_.fetch_add(stats.pages_written, std::memory_order_relaxed);
-  }
-
   IoStats stats() const {
     return IoStats{vectors_read_.load(std::memory_order_relaxed),
                    pages_read_.load(std::memory_order_relaxed),

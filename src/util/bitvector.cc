@@ -218,8 +218,8 @@ void BitVector::BlitFrom(const BitVector& src, size_t offset) {
   const size_t word0 = offset >> 6;
   const size_t shift = offset & 63;
   if (shift == 0 && word0 + src.words_.size() <= words_.size()) {
-    // Word-aligned segment concat (the ShardedIndex fan-out fast path):
-    // one fused bulk OR instead of a shift-and-carry loop.
+    // Word-aligned offset: one fused bulk OR instead of a shift-and-carry
+    // loop.
     K().or_words(words_.data() + word0, src.words_.data(),
                  src.words_.size());
   } else {

@@ -146,12 +146,12 @@ class BitVector {
   [[nodiscard]] bool TailIsClean() const;
 
   /// ORs all bits of `src` into positions [offset, offset + src.size())
-  /// — the segment-order concatenation of per-segment result bitmaps.
-  /// The destination must already span the range (asserted in debug
-  /// builds; out-of-range source bits are dropped otherwise). Works
+  /// — e.g. extending a result bitmap with the answer over rows appended
+  /// after it. The destination must already span the range (asserted in
+  /// debug builds; out-of-range source bits are dropped otherwise). Works
   /// word-at-a-time with shifts, so unaligned offsets cost one extra OR
   /// per word, not per bit. Not safe for concurrent calls that share a
-  /// destination word: merge serially, in segment order.
+  /// destination word.
   void BlitFrom(const BitVector& src, size_t offset);
 
   friend bool operator==(const BitVector& a, const BitVector& b) {

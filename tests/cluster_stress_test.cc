@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/auditor.h"
@@ -46,7 +47,7 @@ TEST(ClusterStressTest, ConcurrentQueriesAppendsHedgesAndDrain) {
   options.shards = 2;
   options.partition = PartitionKind::kRange;
   options.split_points = {31};
-  options.key_column = "k";
+  options.key_column = std::string(1, 'k');
   options.shard_options.worker_threads = 2;
   options.shard_options.queue_depth = 8;  // Small: sheds happen.
   options.replicate = true;
@@ -145,7 +146,7 @@ TEST(ClusterStressTest, ConcurrentQueriesAppendsHedgesAndDrain) {
 TEST(ClusterStressTest, QueriesRacingShutdownFailCleanly) {
   ClusterOptions options;
   options.shards = 2;
-  options.key_column = "k";
+  options.key_column = std::string(1, 'k');
   options.shard_options.worker_threads = 1;
   ClusterQueryService clustered(options);
   ASSERT_TRUE(clustered

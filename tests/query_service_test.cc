@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "exec/thread_pool.h"
 #include "index/encoded_bitmap_index.h"
+#include "index/index_factory.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/executor.h"
@@ -298,13 +301,15 @@ TEST(QueryServiceTest, RequestTraceRecordsServeSpan) {
   EXPECT_NE(trace.Find("executor.select"), nullptr);
 }
 
-TEST(QueryServiceTest, ShardedSnapshotsServeAndExtend) {
-  exec::ThreadPool shard_pool(2);
-  ServeOptions options;
-  options.segment_rows = 8;
-  options.shard_pool = &shard_pool;
-  QueryService service(options);
-  ASSERT_TRUE(service.Start(TwoColumnTable(30), BothColumns()).ok());
+// Every serving family answers scan-identically before and after an
+// append. Simple and encoded extend copy-on-write clones (CloneRebound);
+// bit-sliced and range-based have no clone, so CloneWithRows rebuilds them
+// over the grown table.
+class ServingFamilyTest : public ::testing::TestWithParam<IndexKind> {};
+
+TEST_P(ServingFamilyTest, SelectBeforeAndAfterAppend) {
+  QueryService service;
+  ASSERT_TRUE(service.Start(TwoColumnTable(30), {{"a", GetParam()}}).ok());
 
   const Result<ServeResult> before =
       service.Select({Predicate::Eq("a", Value::Int(3))});
@@ -313,17 +318,67 @@ TEST(QueryServiceTest, ShardedSnapshotsServeAndExtend) {
   EXPECT_EQ(before.value().selection.rows,
             ScanEquals(*reference, reference->column(0), 3));
 
-  // Appends re-partition and rebuild; results stay scan-identical.
+  // One row repeats a value, one expands the domain.
   ASSERT_TRUE(service.Append({{Value::Int(3), Value::Int(0)},
                               {Value::Int(9), Value::Int(1)}})
                   .ok());
   const Result<ServeResult> after =
       service.Select({Predicate::Between("a", 3, 9)});
   ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value().epoch, 1u);
   ASSERT_TRUE(reference->AppendRow({Value::Int(3), Value::Int(0)}).ok());
   ASSERT_TRUE(reference->AppendRow({Value::Int(9), Value::Int(1)}).ok());
   EXPECT_EQ(after.value().selection.rows,
             ScanRange(*reference, reference->column(0), 3, 9));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, ServingFamilyTest,
+    ::testing::Values(IndexKind::kSimpleBitmap, IndexKind::kEncodedBitmap,
+                      IndexKind::kBitSliced, IndexKind::kRangeBasedBitmap),
+    [](const ::testing::TestParamInfo<IndexKind>& param_info) {
+      return std::string(IndexKindName(param_info.param));
+    });
+
+// Each combined append batch observes one sample per append stage; the
+// WAL stage exists only in durable mode.
+TEST(QueryServiceTest, AppendStagesObserveOneSampleEach) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Histogram* wal = registry.GetHistogram(
+      obs::kMetricServeAppendWalMs, obs::MetricsRegistry::LatencyBounds());
+  obs::Histogram* maintain =
+      registry.GetHistogram(obs::kMetricServeAppendMaintainMs,
+                            obs::MetricsRegistry::LatencyBounds());
+  obs::Histogram* publish =
+      registry.GetHistogram(obs::kMetricServeAppendPublishMs,
+                            obs::MetricsRegistry::LatencyBounds());
+
+  const std::string path =
+      std::string(::testing::TempDir()) + "/ebi_serve_append_stages.wal";
+  std::remove(path.c_str());
+  ServeOptions durable;
+  durable.wal_path = path;
+  {
+    QueryService service(durable);
+    ASSERT_TRUE(service.Start(TwoColumnTable(8), BothColumns()).ok());
+    const uint64_t wal_before = wal->TotalCount();
+    const uint64_t maintain_before = maintain->TotalCount();
+    const uint64_t publish_before = publish->TotalCount();
+    ASSERT_TRUE(service.Append({{Value::Int(1), Value::Int(2)}}).ok());
+    EXPECT_EQ(wal->TotalCount(), wal_before + 1);
+    EXPECT_EQ(maintain->TotalCount(), maintain_before + 1);
+    EXPECT_EQ(publish->TotalCount(), publish_before + 1);
+    ASSERT_TRUE(service.Shutdown().ok());
+  }
+  std::remove(path.c_str());
+
+  QueryService service;
+  ASSERT_TRUE(service.Start(TwoColumnTable(8), BothColumns()).ok());
+  const uint64_t wal_before = wal->TotalCount();
+  const uint64_t maintain_before = maintain->TotalCount();
+  ASSERT_TRUE(service.Append({{Value::Int(1), Value::Int(2)}}).ok());
+  EXPECT_EQ(wal->TotalCount(), wal_before);
+  EXPECT_EQ(maintain->TotalCount(), maintain_before + 1);
 }
 
 TEST(QueryServiceTest, ConcurrentAppendsAllLandExactlyOnce) {

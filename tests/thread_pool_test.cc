@@ -89,10 +89,6 @@ TEST(ThreadPoolTest, ManyMoreTasksThanThreads) {
   EXPECT_EQ(ran.load(), 1000);
 }
 
-TEST(ThreadPoolTest, DefaultThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::DefaultThreads(), 1u);
-}
-
 }  // namespace
 }  // namespace exec
 }  // namespace ebi
